@@ -45,7 +45,7 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args, stdout)
+        return args.handler(args, stdout, stderr)
     except CliError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
@@ -209,7 +209,7 @@ def _print_subgroup(sub: Subgroup, args, stdout) -> int:
 # -- subcommands -------------------------------------------------------------------
 
 
-def _cmd_core(args, stdout) -> int:
+def _cmd_core(args, stdout, stderr) -> int:
     if args.rank < 1:
         raise CliError("--rank must be at least 1")
     alphabet = Alphabet(args.rank)
@@ -222,19 +222,19 @@ def _cmd_core(args, stdout) -> int:
     return _print_subgroup(subgroup_graph(words, alphabet), args, stdout)
 
 
-def _cmd_intersect(args, stdout) -> int:
+def _cmd_intersect(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
     _require_same_alphabet(H, K)
     return _print_subgroup(intersection(H, K), args, stdout)
 
 
-def _cmd_join(args, stdout) -> int:
+def _cmd_join(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
     _require_same_alphabet(H, K)
     return _print_subgroup(join(H, K), args, stdout)
 
 
-def _cmd_pushout(args, stdout) -> int:
+def _cmd_pushout(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
     _require_same_alphabet(H, K)
     po = topological_pushout(H, K, [based_meet_core(H, K)])
@@ -259,7 +259,7 @@ def _cmd_pushout(args, stdout) -> int:
     return 0
 
 
-def _cmd_matrix(args, stdout) -> int:
+def _cmd_matrix(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
     _require_same_alphabet(H, K)
     if args.normalize:
@@ -321,7 +321,7 @@ def _cmd_matrix(args, stdout) -> int:
     return 0
 
 
-def _cmd_check(args, stdout) -> int:
+def _cmd_check(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
     _require_same_alphabet(H, K)
     try:
@@ -345,7 +345,7 @@ def _cmd_check(args, stdout) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_corpus(args, stdout) -> int:
+def _cmd_corpus(args, stdout, stderr) -> int:
     result = corpus()
     if args.json:
         print(json.dumps(result, sort_keys=True), file=stdout)
@@ -358,7 +358,7 @@ def _cmd_corpus(args, stdout) -> int:
     return 0 if result["ok"] else 2
 
 
-def _cmd_fuzz(args, stdout) -> int:
+def _cmd_fuzz(args, stdout, stderr) -> int:
     seed = args.seed
     env_seed = os.environ.get("STALLINGS_SEED")
     if env_seed is not None:
@@ -385,7 +385,7 @@ def _cmd_fuzz(args, stdout) -> int:
         f"instances: {summary['instances']}  "
         f"violations: {len(summary['violations'])}  "
         f"ok: {summary['ok']}",
-        file=sys.stderr,
+        file=stderr,
     )
     return 0 if report.ok else 2
 

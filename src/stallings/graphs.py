@@ -88,9 +88,16 @@ class CanonicalForm:
 
 
 class LabeledGraph:
-    """A finite oriented graph with edges labeled by generator indices."""
+    """A finite oriented graph with edges labeled by generator indices.
 
-    __slots__ = ("rank", "basepoint", "_edge", "_out", "_in", "_vertex_order", "_proper")
+    Construction also builds the dart index, a table from
+    ``(vertex, label, direction)`` to edge id, so that properness is known
+    at once and :meth:`dart_edge` is a single lookup.
+    """
+
+    __slots__ = (
+        "rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_proper"
+    )
 
     def __init__(
         self,
@@ -113,6 +120,8 @@ class LabeledGraph:
             order.setdefault(v, None)
         out: dict = {v: [] for v in order}
         inc: dict = {v: [] for v in order}
+        dart: dict = {}
+        proper = True
         for eid, label, src, dst in items:
             if not 0 <= label < rank:
                 raise ValueError(f"edge {eid!r} label {label} out of range for rank {rank}")
@@ -123,13 +132,19 @@ class LabeledGraph:
             edge_table[eid] = (label, src, dst)
             out[src].append(eid)
             inc[dst].append(eid)
+            # a dart key already held by another edge makes the labeling improper
+            if dart.setdefault((src, label, OUT), eid) != eid:
+                proper = False
+            if dart.setdefault((dst, label, IN), eid) != eid:
+                proper = False
         if basepoint is not None and basepoint not in order:
             raise ValueError(f"basepoint {basepoint!r} missing from vertex set")
         self._edge = edge_table
         self._out = out
         self._in = inc
+        self._dart = dart
         self._vertex_order = tuple(order)
-        self._proper = None
+        self._proper = proper
 
     # -- structure access ----------------------------------------------------
 
@@ -171,31 +186,18 @@ class LabeledGraph:
         return VertexType(tuple(sorted(darts)))
 
     def is_properly_labeled(self) -> bool:
-        if self._proper is None:
-            proper = True
-            for v in self._vertex_order:
-                out_labels = [self._edge[e][0] for e in self._out[v]]
-                in_labels = [self._edge[e][0] for e in self._in[v]]
-                if len(set(out_labels)) != len(out_labels) or len(set(in_labels)) != len(in_labels):
-                    proper = False
-                    break
-            self._proper = proper
         return self._proper
-
-    def _require_proper(self) -> None:
-        if not self.is_properly_labeled():
-            raise ImproperLabelingError("graph is not properly labeled")
 
     # -- deterministic traversal ----------------------------------------------
 
     def dart_edge(self, v: Hashable, label: int, direction: int) -> Hashable | None:
         """The unique edge at ``v`` with the given label and direction, if any."""
-        self._require_proper()
-        pool = self._out[v] if direction == OUT else self._in[v]
-        for e in pool:
-            if self._edge[e][0] == label:
-                return e
-        return None
+        if not self._proper:
+            raise ImproperLabelingError("graph is not properly labeled")
+        e = self._dart.get((v, label, direction))
+        if e is None and v not in self._out:
+            raise KeyError(v)
+        return e
 
     def step(self, v: Hashable, letter: int) -> Hashable | None:
         """Follow one signed letter from ``v``; None when unreadable."""
@@ -345,7 +347,8 @@ class LabeledGraph:
         Two properly labeled graphs are isomorphic (respecting basepoints when
         ``based``) exactly when their canonical forms are equal.
         """
-        self._require_proper()
+        if not self._proper:
+            raise ImproperLabelingError("graph is not properly labeled")
         comps = self.components()
         use_base = self.basepoint if based else None
         encoded = []

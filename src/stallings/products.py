@@ -186,10 +186,13 @@ class _Partition:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a, b) -> None:
+    def union(self, a, b) -> bool:
+        """Merge the classes of ``a`` and ``b``; False when already one class."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
     def classes(self) -> list[list]:
         grouped: dict = defaultdict(list)
@@ -413,36 +416,92 @@ class DoubleCosetDecomposition:
         return sum(r - 1 for r in self.ranks)
 
 
+def _edge_groups(g: LabeledGraph, code: dict) -> dict:
+    """label -> (source kinds, target kinds) -> [(edge, source code, target code)].
+
+    A vertex's dart kinds form a bitmask over (label, direction); a
+    basepoint counts as carrying every kind.
+    """
+    kinds = dict.fromkeys(g.vertices, 0)
+    for _, label, src, dst in g.edges():
+        kinds[src] |= 1 << (2 * label)
+        kinds[dst] |= 2 << (2 * label)
+    kinds[g.basepoint] = (1 << (2 * g.rank)) - 1
+    groups: dict = defaultdict(lambda: defaultdict(list))
+    for eid, label, src, dst in g.edges():
+        groups[label][kinds[src], kinds[dst]].append((eid, code[src], code[dst]))
+    return groups
+
+
 def double_cosets(H: Subgroup, K: Subgroup) -> DoubleCosetDecomposition:
     """Positive-rank components of the product, trimmed to unbased cores.
 
     Each entry realizes one double coset whose conjugate meets the left
-    factor nontrivially; the based entry (when present) is listed first,
-    the rest in decreasing rank with canonical tie-breaking.
+    factor nontrivially.  The based entry (when present) is listed first,
+    then the rest in decreasing rank; entries of equal rank come in a
+    deterministic but unspecified order.
+
+    The components are found by union-find over label-matched edge pairs,
+    so the full vertex-pair product is never built.  A product vertex's
+    valence is the number of dart kinds its coordinates share; an edge
+    pair with an endpoint of valence one lies on no cycle, and dropping
+    it drops that endpoint too, so it is skipped without changing any
+    component's rank.  The basepoint pair is never dropped this way.
     """
-    fp = fiber_product(H, K)
-    base = fp.graph.basepoint
-    comps = fp.graph.components()
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    edge_totals = [0] * len(comps)
-    for _, _, src, _ in fp.graph.edges():
-        edge_totals[comp_of[src]] += 1
+    if H.alphabet != K.alphabet:
+        raise ValueError("alphabet mismatch")
+    gH, gK = H.graph, K.graph
+    # product vertex (vH, vK) is coded as index(vH) * width + index(vK)
+    width = gK.vertex_count
+    code_H = {v: i * width for i, v in enumerate(gH.vertices)}
+    code_K = {v: i for i, v in enumerate(gK.vertices)}
+    groups_H = _edge_groups(gH, code_H)
+    groups_K = _edge_groups(gK, code_K)
+
+    def matched_pairs():
+        for label, by_kinds_H in groups_H.items():
+            by_kinds_K = groups_K.get(label, {})
+            for (a, b), edges_H in by_kinds_H.items():
+                for (c, d), edges_K in by_kinds_K.items():
+                    if (a & c).bit_count() < 2 or (b & d).bit_count() < 2:
+                        continue
+                    for eH, src, dst in edges_H:
+                        for eK, src_K, dst_K in edges_K:
+                            yield eH, eK, label, src + src_K, dst + dst_K
+
+    parts = _Partition()
+    closing = []  # an endpoint of each edge pair that closes a cycle
+    for _, _, _, u, w in matched_pairs():
+        parts.add(u)
+        parts.add(w)
+        if not parts.union(u, w):
+            closing.append(u)
+    if not closing:
+        return DoubleCosetDecomposition(())
+
+    cyclic = {parts.find(u) for u in closing}
+    vertices_H, vertices_K = gH.vertices, gK.vertices
+
+    def vertex(code: int) -> tuple:
+        iH, iK = divmod(code, width)
+        return (vertices_H[iH], vertices_K[iK])
+
+    edges: dict = defaultdict(dict)
+    for eH, eK, label, u, w in matched_pairs():
+        root = parts.find(u)
+        if root in cyclic:
+            edges[root][eH, eK] = (label, vertex(u), vertex(w))
+    base = code_H[gH.basepoint] + code_K[gK.basepoint]
     entries = []
-    for comp, edge_total in zip(comps, edge_totals):
-        betti = edge_total - len(comp) + 1
-        if betti < 1:
+    for members in parts.classes():
+        root = parts.find(members[0])
+        if root not in cyclic:
             continue
-        comp_set = set(comp)
-        piece = fp.graph.subgraph(comp_set, basepoint=None)
+        piece = LabeledGraph(gH.rank, map(vertex, members), edges[root])
         core = trim_to_core(piece, keep_basepoint=False)
-        entries.append(DoubleCosetEntry(core, betti, based=base in comp_set))
-    entries.sort(
-        key=lambda entry: (
-            not entry.based,
-            -entry.rank,
-            entry.core.canonical_key(based=False),
-        )
-    )
+        rank = piece.edge_count - piece.vertex_count + 1
+        entries.append(DoubleCosetEntry(core, rank, based=base in members))
+    entries.sort(key=lambda entry: (not entry.based, -entry.rank))
     return DoubleCosetDecomposition(tuple(entries))
 
 

@@ -275,8 +275,8 @@ def test_corpus_exit_two_on_failure(monkeypatch):
 # -- fuzz ----------------------------------------------------------------------------
 
 
-def test_fuzz_streams_json_lines(capsys):
-    code, out, _ = invoke("fuzz", "--count", "5", "--seed", "7")
+def test_fuzz_streams_json_lines():
+    code, out, summary = invoke("fuzz", "--count", "5", "--seed", "7")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5
@@ -284,8 +284,19 @@ def test_fuzz_streams_json_lines(capsys):
         data = json.loads(line)
         assert data["index"] == i
         assert "generators" in data["left"] and "report" in data
-    summary = capsys.readouterr().err
     assert "instances: 5" in summary and "ok: True" in summary
+
+
+def test_fuzz_summary_goes_to_the_given_stderr(capsys):
+    """The summary lands in run()'s stderr, and stdout does not change."""
+    plain = io.StringIO()
+    assert run(["fuzz", "--count", "4", "--seed", "5"], stdout=plain) == 0
+    default_err = capsys.readouterr().err
+    code, out, err = invoke("fuzz", "--count", "4", "--seed", "5")
+    assert code == 0
+    assert err == default_err == "instances: 4  violations: 0  ok: True\n"
+    assert capsys.readouterr().err == ""
+    assert out.encode() == plain.getvalue().encode()
 
 
 def test_fuzz_is_byte_identical_across_runs(capsys):
@@ -328,7 +339,7 @@ def test_fuzz_inequalities_only_mode(capsys):
         assert report["rank_meet"] >= 1
 
 
-def test_fuzz_exit_two_on_violation(capsys, monkeypatch):
+def test_fuzz_exit_two_on_violation(monkeypatch):
     import stallings.cli as cli_module
 
     real = check_instance(make("a", "bab"), make("b", "aa"))
@@ -341,8 +352,7 @@ def test_fuzz_exit_two_on_violation(capsys, monkeypatch):
         reports=(doctored,),
     )
     monkeypatch.setattr(cli_module, "fuzz", lambda config: fake)
-    code, out, _ = invoke("fuzz", "--count", "1")
-    err = capsys.readouterr().err
+    code, out, err = invoke("fuzz", "--count", "1")
     assert code == 2
     assert "violations: 1" in err
 

@@ -10,6 +10,7 @@ from stallings import (
     OUT,
     LabeledGraph,
     RANK2,
+    Word,
     bouquet_of,
     disjoint_union,
     fold_to_immersion,
@@ -243,6 +244,43 @@ def test_improper_graph_rejects_dart_queries():
     g = bouquet_of([RANK2.word("a"), RANK2.word("ab")])
     with pytest.raises(ImproperLabelingError):
         g.dart_edge(g.basepoint, 0, OUT)
+
+
+def _has_duplicate_darts(g):
+    """Brute force: some vertex has two out-edges or two in-edges of one label."""
+    for v in g.vertices:
+        for pool in (g.out_edges(v), g.in_edges(v)):
+            labels = [g.edge(e)[0] for e in pool]
+            if len(set(labels)) != len(labels):
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6), max_size=4))
+def test_properness_agrees_with_a_per_vertex_scan(gens):
+    g = bouquet_of([Word(RANK2, letters) for letters in gens], RANK2)
+    assert g.is_properly_labeled() == (not _has_duplicate_darts(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_dart_edge_agrees_with_a_linear_scan(seed, count):
+    from stallings.verify import random_subgroup
+
+    g = random_subgroup(random.Random(seed), count, 6).graph
+    assert g.is_properly_labeled()
+    for v in g.vertices:
+        for direction, pool in ((OUT, g.out_edges(v)), (IN, g.in_edges(v))):
+            for label in range(g.rank):
+                scanned = [e for e in pool if g.edge(e)[0] == label]
+                assert g.dart_edge(v, label, direction) == (scanned[0] if scanned else None)
+
+
+def test_dart_edge_on_a_missing_vertex_is_a_key_error():
+    g = folded_core_of("ab")
+    with pytest.raises(KeyError):
+        g.dart_edge("nowhere", 0, OUT)
 
 
 # -- combination and canonical forms ------------------------------------------------

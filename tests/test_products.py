@@ -1,6 +1,7 @@
 """Fiber products, intersections, joins, pushouts, and double cosets."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from stallings import (
     join_with_maps,
     subgroup_graph,
     topological_pushout,
+    trim_to_core,
 )
 from stallings.verify import random_subgroup
 
@@ -321,6 +323,58 @@ def test_based_double_coset_matches_intersection_rank():
     based = [e for e in d.entries if e.based]
     assert len(based) == 1
     assert based[0].rank == intersection(H, K).rank
+
+
+def test_double_cosets_rejects_alphabet_mismatch():
+    with pytest.raises(ValueError):
+        double_cosets(make("a"), subgroup_graph(["a"], Alphabet(3)))
+
+
+def _dense_decomposition(H, K):
+    """(rank, based, vertices, edges) per positive-rank component of the full product."""
+    fp = fiber_product(H, K)
+    out = []
+    for comp in fp.graph.components():
+        piece = fp.graph.subgraph(set(comp))
+        rank = piece.edge_count - piece.vertex_count + 1
+        if rank >= 1:
+            core = trim_to_core(piece, keep_basepoint=False)
+            edges = frozenset(e for e, *_ in core.edges())
+            out.append((rank, fp.basepoint in comp, frozenset(core.vertices), edges))
+    out.sort(key=lambda item: (not item[1], -item[0]))
+    return out
+
+
+def _pair_of_kind(rng, kind):
+    H = random_subgroup(rng, rng.randint(1, 3), 6)
+    if kind == "equal":
+        return H, H
+    if kind == "disjoint_labels":
+        a_power = RANK2.word("a" * rng.randint(1, 4))
+        b_power = RANK2.word("B" * rng.randint(1, 4))
+        return subgroup_graph([a_power], RANK2), subgroup_graph([b_power], RANK2)
+    if kind == "single_loop":
+        return random_subgroup(rng, 1, 8), H
+    return H, random_subgroup(rng, rng.randint(1, 3), 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "equal", "disjoint_labels", "single_loop"]),
+)
+def test_double_cosets_match_the_dense_product(seed, kind):
+    """The sparse decomposition equals the one read off the full product."""
+    H, K = _pair_of_kind(random.Random(seed), kind)
+    dense = _dense_decomposition(H, K)
+    d = double_cosets(H, K)
+    assert d.ranks == tuple(rank for rank, *_ in dense)
+    assert tuple(e.based for e in d.entries) == tuple(based for _, based, *_ in dense)
+    sparse_pieces = Counter(
+        (frozenset(e.core.vertices), frozenset(eid for eid, *_ in e.core.edges()))
+        for e in d.entries
+    )
+    assert sparse_pieces == Counter((vs, es) for _, _, vs, es in dense)
 
 
 # -- isolated vertices --------------------------------------------------------------

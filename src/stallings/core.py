@@ -9,10 +9,16 @@ generating sets were written down.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
-from .graphs import IN, OUT, LabeledGraph, bouquet_of, fold_to_immersion, trim_to_core
+from .graphs import (
+    CanonicalForm,
+    LabeledGraph,
+    based_product,
+    bouquet_of,
+    fold_to_immersion,
+    trim_to_core,
+)
 from .words import Alphabet, Word, square_commutator_embed
 
 
@@ -39,25 +45,7 @@ class Subgroup:
         generators: Iterable[Word] | None = None,
     ) -> "Subgroup":
         """Wrap an already folded core; the graph is canonicalized here."""
-        if graph.basepoint is None:
-            raise ValueError("a subgroup core needs a basepoint")
-        if not graph.is_properly_labeled():
-            raise ValueError("a subgroup core must be properly labeled")
-        if graph.stats().component_count != 1:
-            raise ValueError("a subgroup core must be connected")
-        if not graph.is_core():
-            raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
-        canon = graph.canonical().graph
-        sub = cls(alphabet, (), canon)
-        gens = tuple(generators) if generators is not None else tuple(basis(sub))
-        for w in gens:
-            if w.alphabet != alphabet:
-                raise ValueError("generator alphabet mismatch")
-            outcome = canon.trace(canon.basepoint, w)
-            if not outcome.ok or outcome.vertex != canon.basepoint:
-                raise ValueError(f"generator {w} does not trace a based loop in the core")
-        sub.generators = gens
-        return sub
+        return _from_core_form(graph, alphabet, generators)[0]
 
     @property
     def is_trivial(self) -> bool:
@@ -92,6 +80,33 @@ class Subgroup:
     def __repr__(self) -> str:
         gens = ", ".join(str(w) for w in self.generators)
         return f"Subgroup(<{gens}>, rank={self.rank})"
+
+
+def _from_core_form(
+    graph: LabeledGraph, alphabet: Alphabet, generators: Iterable[Word] | None
+) -> tuple[Subgroup, CanonicalForm]:
+    """:meth:`Subgroup.from_core`, also returning the canonical form whose
+    vertex map numbers the wrapped core."""
+    if graph.basepoint is None:
+        raise ValueError("a subgroup core needs a basepoint")
+    if not graph.is_properly_labeled():
+        raise ValueError("a subgroup core must be properly labeled")
+    if graph.stats().component_count != 1:
+        raise ValueError("a subgroup core must be connected")
+    if not graph.is_core():
+        raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
+    form = graph.canonical()
+    canon = form.graph
+    sub = Subgroup(alphabet, (), canon)
+    gens = tuple(generators) if generators is not None else tuple(basis(sub))
+    for w in gens:
+        if w.alphabet != alphabet:
+            raise ValueError("generator alphabet mismatch")
+        outcome = canon.trace(canon.basepoint, w)
+        if not outcome.ok or outcome.vertex != canon.basepoint:
+            raise ValueError(f"generator {w} does not trace a based loop in the core")
+    sub.generators = gens
+    return sub, form
 
 
 def subgroup_graph(gens: Iterable[Word | str], alphabet: Alphabet | None = None) -> Subgroup:
@@ -137,21 +152,13 @@ def _tree_paths(graph: LabeledGraph) -> tuple[dict, set]:
     bp = graph.basepoint
     path: dict = {bp: ()}
     tree_edges: set = set()
-    queue = deque([bp])
-    while queue:
-        v = queue.popleft()
-        for label in range(graph.rank):
-            for direction in (OUT, IN):
-                e = graph.dart_edge(v, label, direction)
-                if e is None:
-                    continue
-                _, src, dst = graph.edge(e)
-                w = dst if direction == OUT else src
-                if w not in path:
-                    letter = (label + 1) if direction == OUT else -(label + 1)
-                    path[w] = path[v] + (letter,)
-                    tree_edges.add(e)
-                    queue.append(w)
+    order = [bp]
+    for v in order:  # order grows while it is walked
+        for letter, e, w in graph.darts(v):
+            if w not in path:
+                path[w] = path[v] + (letter,)
+                tree_edges.add(e)
+                order.append(w)
     return path, tree_edges
 
 
@@ -186,55 +193,11 @@ def three_regularize(H: Subgroup) -> Subgroup:
 def _stem_word(graph: LabeledGraph) -> Word:
     """Letters along the unique path from an extremal basepoint to the
     nearest vertex of valence >= 3."""
-    bp = graph.basepoint
-    seen = {bp: ()}
-    queue = deque([bp])
-    while queue:
-        v = queue.popleft()
+    path, _ = _tree_paths(graph)
+    for v, letters in path.items():  # in walk order, nearest first
         if graph.valence(v) >= 3:
-            return Word(Alphabet(graph.rank), seen[v])
-        for label in range(graph.rank):
-            for direction in (OUT, IN):
-                e = graph.dart_edge(v, label, direction)
-                if e is None:
-                    continue
-                _, src, dst = graph.edge(e)
-                w = dst if direction == OUT else src
-                if w not in seen:
-                    letter = (label + 1) if direction == OUT else -(label + 1)
-                    seen[w] = seen[v] + (letter,)
-                    queue.append(w)
+            return Word(Alphabet(graph.rank), letters)
     raise ValueError("no branch vertex reachable; cannot normalize a rank <= 0 core")
-
-
-def _meet_is_trivial(H: Subgroup, K: Subgroup) -> bool:
-    """Whether the based component of the vertex-pair product is a tree."""
-    gH, gK = H.graph, K.graph
-    start = (gH.basepoint, gK.basepoint)
-    seen = {start}
-    edges = 0
-    queue = deque([start])
-    while queue:
-        u, v = queue.popleft()
-        for label in range(gH.rank):
-            eh = gH.dart_edge(u, label, OUT)
-            ek = gK.dart_edge(v, label, OUT)
-            if eh is not None and ek is not None:
-                edges += 1
-                nxt = (gH.edge(eh)[2], gK.edge(ek)[2])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-            eh = gH.dart_edge(u, label, IN)
-            ek = gK.dart_edge(v, label, IN)
-            if eh is not None and ek is not None:
-                nxt = (gH.edge(eh)[1], gK.edge(ek)[1])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    # every component edge is counted exactly once: at its source vertex's
-    # out-step (in-steps only widen the search)
-    return edges < len(seen)
 
 
 def _conjugate_pair(H: Subgroup, K: Subgroup, v: Word) -> tuple[Subgroup, Subgroup]:
@@ -251,9 +214,21 @@ def normalize_nonextremal(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup,
     second conjugation.  Returns the adjusted pair and the conjugator v,
     with each returned subgroup equal to v * original * v^-1.
     """
+    H, K, total, _ = _normalize_nonextremal(H, K)
+    return H, K, total
+
+
+def _normalize_nonextremal(
+    H: Subgroup, K: Subgroup
+) -> tuple[Subgroup, Subgroup, Word, LabeledGraph | None]:
+    """:func:`normalize_nonextremal`, also returning the based product
+    component its triviality check walked while that is still the returned
+    pair's (no conjugation was needed), else None."""
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
-    if H.is_trivial or K.is_trivial or _meet_is_trivial(H, K):
+    # the meet is trivial when the based product component is a tree
+    product = None if H.is_trivial or K.is_trivial else based_product(H.graph, K.graph)
+    if product is None or product.chi == 1:
         raise TrivialIntersectionError(
             "basepoint normalization needs a nontrivial intersection"
         )
@@ -263,6 +238,7 @@ def normalize_nonextremal(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup,
         step = ~w
         H, K = _conjugate_pair(H, K, step)
         total = step * total
+        product = None
     if K.graph.stats().extremal_count:
         w = _stem_word(K.graph)
         if not H.graph.trace(H.graph.basepoint, w).ok:
@@ -270,6 +246,7 @@ def normalize_nonextremal(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup,
         step = ~w
         H, K = _conjugate_pair(H, K, step)
         total = step * total
+        product = None
     if H.graph.stats().extremal_count or K.graph.stats().extremal_count:
         raise AssertionError("normalization failed to remove extremal vertices")
-    return H, K, total
+    return H, K, total, product

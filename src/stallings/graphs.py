@@ -15,7 +15,7 @@ maps.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
@@ -55,19 +55,6 @@ class VertexType:
     def valence(self) -> int:
         return len(self.darts)
 
-    def describe(self, alphabet: Alphabet) -> str:
-        parts = []
-        for label, direction in self.darts:
-            name = alphabet.letter_name(label + 1)
-            parts.append(f"{name}-{'out' if direction == OUT else 'in'}")
-        return "{" + ", ".join(parts) + "}"
-
-
-def same_type(a: VertexType, b: VertexType) -> bool:
-    """Whether one star's dart multiset is contained in the other's."""
-    ca, cb = Counter(a.darts), Counter(b.darts)
-    return ca <= cb or cb <= ca
-
 
 class Traversal(NamedTuple):
     """Outcome of tracing a word: the final vertex, or the failure index."""
@@ -87,6 +74,48 @@ class CanonicalForm:
     edge_map: dict
 
 
+class DisjointSet:
+    """Union-find over hashables, with path compression.
+
+    The package's one union-find: folding merges vertices and edges with
+    it, and the product, pushout and matrix layers group classes with it.
+    ``union(a, b)`` hangs ``b``'s root under ``a``'s, so a caller that
+    cares which representative survives passes it first.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items: Iterable[Hashable] = ()):
+        self.parent: dict = {x: x for x in items}
+
+    def add(self, x: Hashable) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x: Hashable) -> Hashable:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: Hashable, b: Hashable) -> bool:
+        """Merge the classes of ``a`` and ``b``; False when already one class."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+    def classes(self) -> list[list]:
+        """Every class as a sorted member list."""
+        grouped: dict = defaultdict(list)
+        for x in self.parent:
+            grouped[self.find(x)].append(x)
+        return [sorted(members) for members in grouped.values()]
+
+
 class LabeledGraph:
     """A finite oriented graph with edges labeled by generator indices.
 
@@ -96,7 +125,8 @@ class LabeledGraph:
     """
 
     __slots__ = (
-        "rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_proper"
+        "rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_proper",
+        "_stars",
     )
 
     def __init__(
@@ -145,6 +175,7 @@ class LabeledGraph:
         self._dart = dart
         self._vertex_order = tuple(order)
         self._proper = proper
+        self._stars: dict = {}  # vertex -> its darts, filled in by darts()
 
     # -- structure access ----------------------------------------------------
 
@@ -188,7 +219,34 @@ class LabeledGraph:
     def is_properly_labeled(self) -> bool:
         return self._proper
 
-    # -- deterministic traversal ----------------------------------------------
+    # -- traversal -------------------------------------------------------------
+
+    def darts(self, v: Hashable) -> tuple[tuple[int, Hashable, Hashable], ...]:
+        """The darts at ``v`` as (signed letter, edge id, far end) triples.
+
+        An outgoing dart reads letter ``label + 1`` towards the edge's
+        target, an incoming one ``-(label + 1)`` towards its source; a loop
+        gives both.  Darts come by label, the outgoing before the incoming.
+        Every graph walk numbers vertices in this order, which is what
+        makes canonical forms, bases and DOT output reproducible.  On an
+        improperly labeled graph darts sharing a letter keep the order
+        their edges were given in.  Each vertex's darts are sorted once,
+        on the first walk that reaches it.
+        """
+        star = self._stars.get(v)
+        if star is None:
+            edge = self._edge
+            star = []
+            for e in self._out[v]:
+                label, _, dst = edge[e]
+                star.append((label + 1, e, dst))
+            for e in self._in[v]:
+                label, src, _ = edge[e]
+                star.append((-label - 1, e, src))
+            # outgoing letter l sorts at 2l - 1, incoming -l at 2l
+            star.sort(key=lambda dart: 2 * dart[0] - 1 if dart[0] > 0 else -2 * dart[0])
+            star = self._stars[v] = tuple(star)
+        return star
 
     def dart_edge(self, v: Hashable, label: int, direction: int) -> Hashable | None:
         """The unique edge at ``v`` with the given label and direction, if any."""
@@ -248,28 +306,22 @@ class LabeledGraph:
         )
 
     def components(self) -> list[list]:
+        """Vertex lists of the connected components, each in walk order.
+
+        Needs no proper labeling, so pushout quotients are covered too.
+        """
         seen: set = set()
         comps: list[list] = []
         for v0 in self._vertex_order:
             if v0 in seen:
                 continue
-            comp = [v0]
             seen.add(v0)
-            queue = deque([v0])
-            while queue:
-                v = queue.popleft()
-                for e in self._out[v]:
-                    w = self._edge[e][2]
+            comp = [v0]
+            for v in comp:  # comp grows while it is walked
+                for _, _, w in self.darts(v):
                     if w not in seen:
                         seen.add(w)
                         comp.append(w)
-                        queue.append(w)
-                for e in self._in[v]:
-                    w = self._edge[e][1]
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        queue.append(w)
             comps.append(comp)
         return comps
 
@@ -307,20 +359,11 @@ class LabeledGraph:
         """BFS numbering from ``start`` in (label, out-then-in) dart order."""
         number = {start: 0}
         order = [start]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for label in range(self.rank):
-                for direction in (OUT, IN):
-                    e = self.dart_edge(v, label, direction)
-                    if e is None:
-                        continue
-                    _, src, dst = self._edge[e]
-                    w = dst if direction == OUT else src
-                    if w not in number:
-                        number[w] = len(order)
-                        order.append(w)
+        for v in order:  # order grows while it is walked
+            for _, _, w in self.darts(v):
+                if w not in number:
+                    number[w] = len(order)
+                    order.append(w)
         if len(order) != len(comp):
             raise ValueError("component not connected under traversal")
         encoded = sorted(
@@ -333,13 +376,8 @@ class LabeledGraph:
     def _component_encoding(self, comp: list, based_at: Hashable | None) -> tuple[dict, tuple]:
         if based_at is not None:
             return self._encode_from(based_at, comp)
-        best: tuple[dict, tuple] | None = None
-        for start in comp:
-            numbering, code = self._encode_from(start, comp)
-            if best is None or code < best[1]:
-                best = (numbering, code)
-        assert best is not None
-        return best
+        # the first start with the least code wins ties
+        return min((self._encode_from(start, comp) for start in comp), key=lambda t: t[1])
 
     def canonical(self, *, based: bool = True) -> CanonicalForm:
         """Deterministic relabeling: vertices 0..n-1, edges 0..m-1.
@@ -488,19 +526,6 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
     return LabeledGraph(alphabet.rank, range(next_vertex), edges, basepoint=0)
 
 
-def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Tagged union: ids become (0, x) from ``g1`` and (1, x) from ``g2``."""
-    if g1.rank != g2.rank:
-        raise ValueError("rank mismatch in disjoint union")
-    vertices = [(0, v) for v in g1.vertices] + [(1, v) for v in g2.vertices]
-    edges = {}
-    for eid, label, src, dst in g1.edges():
-        edges[(0, eid)] = (label, (0, src), (0, dst))
-    for eid, label, src, dst in g2.edges():
-        edges[(1, eid)] = (label, (1, src), (1, dst))
-    return LabeledGraph(g1.rank, vertices, edges)
-
-
 def wedge(g1: LabeledGraph, g2: LabeledGraph) -> tuple[LabeledGraph, dict, dict]:
     """Glue two based graphs at their basepoints.
 
@@ -522,6 +547,37 @@ def wedge(g1: LabeledGraph, g2: LabeledGraph) -> tuple[LabeledGraph, dict, dict]
     return graph, map1, map2
 
 
+def based_product(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """The component of the basepoint pair in the product of two graphs.
+
+    Product vertices are pairs (v1, v2) and product edges pairs (e1, e2)
+    of equally labeled edges, so the coordinates are the two projections.
+    Only this one component is grown, from the basepoint pair outwards.
+    Both graphs must be properly labeled.
+    """
+    if not (g1.is_properly_labeled() and g2.is_properly_labeled()):
+        raise ImproperLabelingError("the product needs properly labeled factors")
+    start = (g1.basepoint, g2.basepoint)
+    seen = {start}
+    vertices = [start]
+    edges: dict = {}
+    for pair in vertices:  # vertices grows while it is walked
+        step = {letter: (e, w) for letter, e, w in g2.darts(pair[1])}
+        for letter, e1, w1 in g1.darts(pair[0]):
+            if letter not in step:
+                continue
+            e2, w2 = step[letter]
+            far = (w1, w2)
+            if letter > 0:
+                edges[e1, e2] = (letter - 1, pair, far)
+            else:
+                edges[e1, e2] = (-letter - 1, far, pair)
+            if far not in seen:
+                seen.add(far)
+                vertices.append(far)
+    return LabeledGraph(g1.rank, vertices, edges, basepoint=start)
+
+
 # -- folding -----------------------------------------------------------------------
 
 
@@ -540,26 +596,10 @@ def fold_to_immersion(g: LabeledGraph) -> FoldResult:
     Disjoint-set partitions over vertices and edges driven by a worklist;
     near-linear, and confluent up to isomorphism regardless of fold order.
     """
-    parent_v = {v: v for v in g.vertices}
-    parent_e = {e: e for e, *_ in g.edges()}
-
-    def find_v(x):
-        root = x
-        while parent_v[root] != root:
-            root = parent_v[root]
-        while parent_v[x] != root:
-            parent_v[x], x = root, parent_v[x]
-        return root
-
-    def find_e(x):
-        root = x
-        while parent_e[root] != root:
-            root = parent_e[root]
-        while parent_e[x] != root:
-            parent_e[x], x = root, parent_e[x]
-        return root
-
-    alive = set(parent_e)
+    vparts = DisjointSet(g.vertices)
+    eparts = DisjointSet(e for e, *_ in g.edges())
+    find_v, find_e = vparts.find, eparts.find  # hoisted: the loop is hot
+    alive = set(eparts.parent)
     ends = {e: (src, dst) for e, _, src, dst in g.edges()}
     labels = {e: label for e, label, *_ in g.edges()}
     # per-root dart table: (label, direction) -> edge ids (lazily compacted)
@@ -600,13 +640,13 @@ def fold_to_immersion(g: LabeledGraph) -> FoldResult:
                 _, direction = key
                 t1 = far_endpoint(keep, direction)
                 t2 = far_endpoint(drop, direction)
-                parent_e[drop] = keep
+                eparts.union(keep, drop)
                 alive.discard(drop)
                 table[key] = [e for e in compacted if e != drop]
                 if t1 != t2:
                     # absorb the smaller dart table into the larger
                     big, small = (t1, t2) if len(darts[t1]) >= len(darts[t2]) else (t2, t1)
-                    parent_v[small] = big
+                    vparts.union(big, small)
                     for k, lst in darts[small].items():
                         darts[big].setdefault(k, []).extend(lst)
                     del darts[small]
@@ -621,7 +661,7 @@ def fold_to_immersion(g: LabeledGraph) -> FoldResult:
                 break
 
     vertex_map = {v: find_v(v) for v in g.vertices}
-    edge_map = {e: find_e(e) for e in parent_e}
+    edge_map = {e: find_e(e) for e in eparts.parent}
     edges = {}
     for e in alive:
         src, dst = ends[e]
@@ -629,7 +669,8 @@ def fold_to_immersion(g: LabeledGraph) -> FoldResult:
     vertices = dict.fromkeys(vertex_map.values())
     bp = None if g.basepoint is None else find_v(g.basepoint)
     folded = LabeledGraph(g.rank, vertices, edges, basepoint=bp)
-    assert folded.is_properly_labeled(), "folding left duplicate darts"
+    if not folded.is_properly_labeled():
+        raise ImproperLabelingError("folding left two darts with one label and direction")
     return FoldResult(folded, vertex_map, edge_map)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Subgroup
-from .graphs import LabeledGraph, trim_to_core
-from .products import LEFT, RIGHT, FiberProduct, PushoutResult, based_meet_core
+from .graphs import DisjointSet, LabeledGraph
+from .products import LEFT, RIGHT, PushoutResult, based_meet_core
 
 
 class NotNormalizedError(ValueError):
@@ -82,31 +82,17 @@ class IncidenceMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-def _meet_core_from(H: Subgroup, K: Subgroup, fp) -> LabeledGraph:
-    if fp is None:
-        return based_meet_core(H, K)
-    if isinstance(fp, FiberProduct):
-        graph = fp.graph
-        base = graph.basepoint
-        for comp in graph.components():
-            if base in comp:
-                piece = graph.subgraph(set(comp), basepoint=base)
-                return trim_to_core(piece)
-        raise ValueError("fiber product lost its basepoint")
-    if isinstance(fp, LabeledGraph):
-        return fp
-    raise TypeError("expected a FiberProduct, a meet core graph, or None")
-
-
-def incidence_matrix(H: Subgroup, K: Subgroup, fp=None) -> IncidenceMatrix:
+def incidence_matrix(
+    H: Subgroup, K: Subgroup, meet_core: LabeledGraph | None = None
+) -> IncidenceMatrix:
     """Pair the branch vertices of two normalized cores through their meet.
 
-    ``fp`` may be the pair's fiber product, the based meet core in product
-    coordinates, or None to compute the meet core here.
+    ``meet_core`` is the pair's based meet core in product coordinates, as
+    :func:`based_meet_core` builds it; None builds it here.
     """
     _require_normalized(H.graph, "left")
     _require_normalized(K.graph, "right")
-    meet = _meet_core_from(H, K, fp)
+    meet = based_meet_core(H, K) if meet_core is None else meet_core
     meet_branch = set()
     for v in meet.vertices:
         if meet.valence(v) >= 3:
@@ -306,30 +292,16 @@ def bipartite_delta(M: IncidenceMatrix, nf: NormalForm | None = None) -> Biparti
     rows, cols = M.shape
     if nf is not None and (len(nf.row_perm), len(nf.col_perm)) != (rows, cols):
         raise ValueError("normal form does not match the matrix shape")
-    parent: dict = {}
-    for i in range(rows):
-        parent[(0, i)] = (0, i)
-    for j in range(cols):
-        parent[(1, j)] = (1, j)
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    parts = DisjointSet([(0, i) for i in range(rows)] + [(1, j) for j in range(cols)])
     edges = 0
     for i, row in enumerate(M.entries):
         for j, x in enumerate(row):
             if x:
                 edges += 1
-                ra, rb = find((0, i)), find((1, j))
-                if ra != rb:
-                    parent[rb] = ra
-    assert edges == M.entry_sum
-    components = len({find(x) for x in parent})
+                parts.union((0, i), (1, j))
+    if edges != M.entry_sum:
+        raise ValueError("one pairing edge per 1-entry needs matrix entries of 0 or 1")
+    components = len(parts.classes())
     return BipartiteSummary(
         black_count=rows,
         white_count=cols,

@@ -14,16 +14,16 @@ projection maps are literally the coordinate projections.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product as cartesian
-from typing import Hashable, Iterable
+from typing import Iterable
 
-from .core import Subgroup
+from .core import Subgroup, _from_core_form
 from .graphs import (
-    IN,
-    OUT,
+    DisjointSet,
     LabeledGraph,
+    based_product,
     fold_to_immersion,
     trim_to_core,
     wedge,
@@ -47,22 +47,6 @@ class FiberProduct:
     @property
     def basepoint(self) -> tuple:
         return self.graph.basepoint
-
-    @staticmethod
-    def left_vertex(v: tuple) -> Hashable:
-        return v[0]
-
-    @staticmethod
-    def right_vertex(v: tuple) -> Hashable:
-        return v[1]
-
-    @staticmethod
-    def left_edge(e: tuple) -> Hashable:
-        return e[0]
-
-    @staticmethod
-    def right_edge(e: tuple) -> Hashable:
-        return e[1]
 
 
 def _paired_edges(gH: LabeledGraph, gK: LabeledGraph):
@@ -88,39 +72,11 @@ def fiber_product(H: Subgroup, K: Subgroup) -> FiberProduct:
     return FiberProduct(H, K, graph)
 
 
-def _based_component(gH: LabeledGraph, gK: LabeledGraph) -> LabeledGraph:
-    """Only the product component of the pair of basepoints, grown lazily."""
-    start = (gH.basepoint, gK.basepoint)
-    seen: dict = {start: None}
-    edges: dict = {}
-    queue = deque([start])
-    while queue:
-        u, v = queue.popleft()
-        for label in range(gH.rank):
-            eh = gH.dart_edge(u, label, OUT)
-            ek = gK.dart_edge(v, label, OUT)
-            if eh is not None and ek is not None:
-                nxt = (gH.edge(eh)[2], gK.edge(ek)[2])
-                edges[(eh, ek)] = (label, (u, v), nxt)
-                if nxt not in seen:
-                    seen[nxt] = None
-                    queue.append(nxt)
-            eh = gH.dart_edge(u, label, IN)
-            ek = gK.dart_edge(v, label, IN)
-            if eh is not None and ek is not None:
-                prv = (gH.edge(eh)[1], gK.edge(ek)[1])
-                edges[(eh, ek)] = (label, prv, (u, v))
-                if prv not in seen:
-                    seen[prv] = None
-                    queue.append(prv)
-    return LabeledGraph(gH.rank, seen, edges, basepoint=start)
-
-
 def based_meet_core(H: Subgroup, K: Subgroup) -> LabeledGraph:
     """The intersection's core in product coordinates (basepoint kept)."""
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
-    return trim_to_core(_based_component(H.graph, K.graph))
+    return trim_to_core(based_product(H.graph, K.graph))
 
 
 def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
@@ -146,18 +102,11 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
     wedged, mapH, mapK = wedge(H.graph, K.graph)
     folded = fold_to_immersion(wedged)
     core = trim_to_core(folded.graph)
-    canon = core.canonical()
-    sub = Subgroup.from_core(core, H.alphabet, generators=H.generators + K.generators)
+    sub, canon = _from_core_form(core, H.alphabet, H.generators + K.generators)
 
     def compose(pre: dict) -> dict:
-        out = {}
-        for v, tagged in pre.items():
-            folded_v = folded.vertex_map[tagged]
-            out[v] = canon.vertex_map.get(folded_v)
-        return out
+        return {v: canon.vertex_map.get(folded.vertex_map[tagged]) for v, tagged in pre.items()}
 
-    # from_core canonicalizes the same trimmed core, so numbering agrees
-    assert sub.graph == canon.graph
     return JoinResult(sub, compose(mapH), compose(mapK))
 
 
@@ -167,38 +116,6 @@ def join(H: Subgroup, K: Subgroup) -> Subgroup:
 
 
 # -- topological pushout ----------------------------------------------------------
-
-
-class _Partition:
-    """Disjoint-set over arbitrary hashables."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        """Merge the classes of ``a`` and ``b``; False when already one class."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-    def classes(self) -> list[list]:
-        grouped: dict = defaultdict(list)
-        for x in self.parent:
-            grouped[self.find(x)].append(x)
-        return [sorted(members) for members in grouped.values()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,7 +173,7 @@ class PushoutResult:
         vertex reaches stays a singleton, even when its darts happen to
         land on the same quotient edges as another star's.
         """
-        parts = _Partition()
+        parts = DisjointSet()
         for side, graph in self._sides():
             for v in graph.vertices:
                 if graph.valence(v) == 3:
@@ -328,8 +245,8 @@ def topological_pushout(
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
-    vparts = _Partition()
-    eparts = _Partition()
+    vparts = DisjointSet()
+    eparts = DisjointSet()
     for side, graph in ((LEFT, gH), (RIGHT, gK)):
         for v in graph.vertices:
             vparts.add((side, v))
@@ -410,11 +327,6 @@ class DoubleCosetDecomposition:
     def ranks(self) -> tuple[int, ...]:
         return tuple(entry.rank for entry in self.entries)
 
-    @property
-    def excess_sum(self) -> int:
-        """Sum of (rank - 1) over all entries."""
-        return sum(r - 1 for r in self.ranks)
-
 
 def _edge_groups(g: LabeledGraph, code: dict) -> dict:
     """label -> (source kinds, target kinds) -> [(edge, source code, target code)].
@@ -469,7 +381,7 @@ def double_cosets(H: Subgroup, K: Subgroup) -> DoubleCosetDecomposition:
                         for eK, src_K, dst_K in edges_K:
                             yield eH, eK, label, src + src_K, dst + dst_K
 
-    parts = _Partition()
+    parts = DisjointSet()
     closing = []  # an endpoint of each edge pair that closes a cycle
     for _, _, _, u, w in matched_pairs():
         parts.add(u)

@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 from .core import (
     Subgroup,
-    _meet_is_trivial,
+    _normalize_nonextremal,
     _stem_word,
-    normalize_nonextremal,
+    _tree_paths,
     subgroup_graph,
     three_regularize,
 )
-from .graphs import IN, OUT, LabeledGraph
+from .graphs import IN, OUT, LabeledGraph, based_product, trim_to_core
 from .matrices import bipartite_delta, entry_sum_bound, incidence_matrix, normal_form
 from .products import (
     LEFT,
@@ -240,34 +239,7 @@ class InstanceReport:
         return tuple(n for n, v in self.verdicts.items() if not v.ok)
 
     def to_dict(self) -> dict:
-        out = {
-            name: getattr(self, name)
-            for name in (
-                "h",
-                "k",
-                "rank_meet",
-                "rank_join",
-                "chi_T",
-                "chi_join",
-                "pushout_refolds_to_join",
-                "normalized",
-                "ell",
-                "p",
-                "q",
-                "star_class_count",
-                "entry_sum",
-                "chi_T_norm",
-                "chi_join_norm",
-                "special_vertex_count",
-                "valence_bound_violation_count",
-                "normal_form_violation_count",
-                "delta_edge_count",
-                "delta_component_count",
-                "multicore_chi",
-                "multicore_star_class_count",
-                "multicore_special_count",
-            )
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["double_coset_ranks"] = list(self.double_coset_ranks)
         out["verdicts"] = {n: v.to_dict() for n, v in self.verdicts.items()}
         return out
@@ -277,12 +249,12 @@ class InstanceReport:
 
     @staticmethod
     def from_dict(data: dict) -> "InstanceReport":
-        fields = dict(data)
+        values = dict(data)
         verdicts = {
-            n: Verdict.from_dict(v) for n, v in fields.pop("verdicts", {}).items()
+            n: Verdict.from_dict(v) for n, v in values.pop("verdicts", {}).items()
         }
-        fields["double_coset_ranks"] = tuple(fields["double_coset_ranks"])
-        return InstanceReport(**fields, verdicts=verdicts)
+        values["double_coset_ranks"] = tuple(values["double_coset_ranks"])
+        return InstanceReport(**values, verdicts=verdicts)
 
 
 def check_instance(H: Subgroup, K: Subgroup, *, structural: bool = True) -> InstanceReport:
@@ -301,11 +273,11 @@ def check_instance(H: Subgroup, K: Subgroup, *, structural: bool = True) -> Inst
             )
         if sub.is_trivial:
             raise ValueError(f"trivial subgroup input ({side})")
-    fields = _raw_fields(H, K)
-    if structural and fields["rank_meet"] >= 1:
-        fields.update(_structural_fields(H, K, fields))
-    verdicts = derive_verdicts(SimpleNamespace(**fields))
-    return InstanceReport(**fields, verdicts=verdicts)
+    values = _raw_fields(H, K)
+    if structural and values["rank_meet"] >= 1:
+        values.update(_structural_fields(H, K, values))
+    verdicts = derive_verdicts(SimpleNamespace(**values))
+    return InstanceReport(**values, verdicts=verdicts)
 
 
 def _raw_fields(H: Subgroup, K: Subgroup) -> dict:
@@ -335,23 +307,56 @@ def normalize_pair(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup]:
     have no extremal vertices.  Meet, join, and factor ranks are preserved.
     Raises :class:`TrivialIntersectionError` when the meet is trivial.
     """
-    Hn, Kn = three_regularize(H), three_regularize(K)
-    Hn, Kn, _ = normalize_nonextremal(Hn, Kn)
-    return _align_meet_basepoint(Hn, Kn)
+    Hn, Kn, _ = _normalize_with_meet(H, K)
+    return Hn, Kn
+
+
+def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, LabeledGraph]:
+    """:func:`normalize_pair`, plus the normalized pair's based meet core.
+
+    Removing extremal vertices from the two factor cores does not stop the
+    shared basepoint from being a valence-1 vertex of the meet's core, and
+    such a stem would feed dangling identifications into the pushout.  The
+    stem's word is readable in both factors (the meet's core projects into
+    each), so conjugating by its inverse merely rebases the factor cores --
+    no trimming, valences untouched -- while the meet's core gets rebased at
+    one of its branch or cycle vertices and sheds the stem.  The meet core
+    is built anew only when that conjugation happens.
+    """
+    Hn, Kn, _, product = _normalize_nonextremal(three_regularize(H), three_regularize(K))
+    if product is None:
+        product = based_product(Hn.graph, Kn.graph)
+    meet_core = trim_to_core(product)
+    if meet_core.valence(meet_core.basepoint) >= 2:
+        return Hn, Kn, meet_core
+    step = ~_stem_word(meet_core)
+    Hn, Kn = Hn.conj(step), Kn.conj(step)
+    return Hn, Kn, based_meet_core(Hn, Kn)
+
+
+def _require(holds: bool, invariant: str) -> None:
+    """Raise when the normalized pipeline breaks an invariant it relies on
+    (an explicit check, so that ``python -O`` keeps it)."""
+    if not holds:
+        raise AssertionError(f"normalized pair broke an invariant: {invariant}")
 
 
 def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
-    Hn, Kn = normalize_pair(H, K)
-    assert (Hn.rank, Kn.rank) == (raw["h"], raw["k"])
-
-    meet_core = based_meet_core(Hn, Kn)
-    assert meet_core.edge_count - meet_core.vertex_count + 1 == raw["rank_meet"]
-    assert all(meet_core.valence(v) >= 2 for v in meet_core.vertices)
+    Hn, Kn, meet_core = _normalize_with_meet(H, K)
+    _require((Hn.rank, Kn.rank) == (raw["h"], raw["k"]), "factor ranks are preserved")
+    _require(
+        meet_core.edge_count - meet_core.vertex_count + 1 == raw["rank_meet"],
+        "the meet rank is preserved",
+    )
+    _require(
+        all(meet_core.valence(v) >= 2 for v in meet_core.vertices),
+        "the meet core has no extremal vertex",
+    )
     join_sub = join(Hn, Kn)
-    assert join_sub.rank == raw["rank_join"]
+    _require(join_sub.rank == raw["rank_join"], "the join rank is preserved")
 
     po = topological_pushout(Hn, Kn, [meet_core])
-    assert not po.loop_quotient_edges()
+    _require(not po.loop_quotient_edges(), "no pushout edge closes into a loop")
     stars = po.star_classes()
     M = incidence_matrix(Hn, Kn, meet_core)
     nf = normal_form(M, po)
@@ -376,25 +381,6 @@ def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
         "multicore_star_class_count": multi.star_classes().count,
         "multicore_special_count": len(multi.special_vertices()),
     }
-
-
-def _align_meet_basepoint(Hn: Subgroup, Kn: Subgroup) -> tuple[Subgroup, Subgroup]:
-    """Conjugate the pair until the meet's core has no basepoint stem.
-
-    Removing extremal vertices from the two factor cores does not stop the
-    shared basepoint from being a valence-1 vertex of the meet's core, and
-    such a stem would feed dangling identifications into the pushout.  The
-    stem's word is readable in both factors (the meet's core projects into
-    each), so conjugating by its inverse merely rebases the factor cores --
-    no trimming, valences untouched -- while the meet's core gets rebased at
-    one of its branch or cycle vertices and sheds the stem.
-    """
-    meet_core = based_meet_core(Hn, Kn)
-    if meet_core.valence(meet_core.basepoint) >= 2:
-        return Hn, Kn
-    stem = _stem_word(meet_core)
-    step = ~Word(Hn.alphabet, stem.letters)
-    return Hn.conj(step), Kn.conj(step)
 
 
 # -- random instances --------------------------------------------------------------
@@ -560,7 +546,8 @@ def _random_pair(rng: random.Random, config: FuzzConfig) -> tuple[Subgroup, Subg
             rng.randint(config.min_generators, config.max_generators),
             config.max_word_length,
         )
-        if config.require_nontrivial_meet and _meet_is_trivial(H, K):
+        # the meet is trivial when the based product component is a tree
+        if config.require_nontrivial_meet and based_product(H.graph, K.graph).chi == 1:
             continue
         return H, K
 
@@ -784,10 +771,10 @@ def check_squares_construction() -> dict:
     a_center = {(0, OUT), (0, IN)}
     b_center = {(1, OUT), (1, IN)}
     candidates = sorted(
-        v
-        for v in isolated_vertex_scan(fp)
-        if _dart_set(H.graph, fp.left_vertex(v)) == a_center
-        and _dart_set(K.graph, fp.right_vertex(v)) == b_center
+        (x, y)
+        for x, y in isolated_vertex_scan(fp)
+        if set(H.graph.vertex_type(x).darts) == a_center
+        and set(K.graph.vertex_type(y).darts) == b_center
     )
 
     detail: dict = {
@@ -804,8 +791,7 @@ def check_squares_construction() -> dict:
         problems.append("no isolated product vertex with segment-center darts")
 
     if not problems:
-        pair = candidates[0]
-        x, y = fp.left_vertex(pair), fp.right_vertex(pair)
+        x, y = candidates[0]
         u = _path_word(H.graph, x, H.graph.basepoint)
         v = _path_word(K.graph, y, K.graph.basepoint)
         Hu, Kv = H.conj(u), K.conj(v)
@@ -834,18 +820,12 @@ def check_squares_construction() -> dict:
 
         carried = meet_core.relabeled(
             {
-                w: (
-                    rebased_left.vertex_map[fp.left_vertex(w)],
-                    rebased_right.vertex_map[fp.right_vertex(w)],
-                )
-                for w in meet_core.vertices
+                (vH, vK): (rebased_left.vertex_map[vH], rebased_right.vertex_map[vK])
+                for vH, vK in meet_core.vertices
             },
             {
-                e: (
-                    rebased_left.edge_map[fp.left_edge(e)],
-                    rebased_right.edge_map[fp.right_edge(e)],
-                )
-                for e, _, _, _ in meet_core.edges()
+                (eH, eK): (rebased_left.edge_map[eH], rebased_right.edge_map[eK])
+                for (eH, eK), _, _, _ in meet_core.edges()
             },
         )
         double_po = topological_pushout(Hu, Kv, [point_core, carried])
@@ -858,12 +838,6 @@ def check_squares_construction() -> dict:
     return detail
 
 
-def _dart_set(graph: LabeledGraph, v) -> set:
-    out = {(graph.edge(e)[0], OUT) for e in graph.out_edges(v)}
-    out |= {(graph.edge(e)[0], IN) for e in graph.in_edges(v)}
-    return out
-
-
 def _graph_shape(graph: LabeledGraph) -> dict:
     return {
         "vertices": graph.vertex_count,
@@ -874,32 +848,10 @@ def _graph_shape(graph: LabeledGraph) -> dict:
 
 def _path_word(graph: LabeledGraph, src, dst) -> Word:
     """Letters read along some shortest path from ``src`` to ``dst``."""
-    alphabet = Alphabet(graph.rank)
-    if src == dst:
-        return alphabet.identity()
-    parents: dict = {src: None}
-    queue = deque([src])
-    while queue and dst not in parents:
-        v = queue.popleft()
-        for eid in graph.out_edges(v):
-            label, _, w = graph.edge(eid)
-            if w not in parents:
-                parents[w] = (v, label + 1)
-                queue.append(w)
-        for eid in graph.in_edges(v):
-            label, w, _ = graph.edge(eid)
-            if w not in parents:
-                parents[w] = (v, -(label + 1))
-                queue.append(w)
-    if dst not in parents:
+    path, _ = _tree_paths(graph.with_basepoint(src))
+    if dst not in path:
         raise ValueError(f"no path from {src!r} to {dst!r}")
-    letters: list[int] = []
-    v = dst
-    while parents[v] is not None:
-        v, letter = parents[v]
-        letters.append(letter)
-    letters.reverse()
-    return Word(alphabet, letters)
+    return Word(Alphabet(graph.rank), path[dst])
 
 
 # -- fiber-class probe ---------------------------------------------------------------

@@ -183,18 +183,6 @@ class Word:
         return Word(self.alphabet, letters)
 
 
-# -- module-level operation forms -------------------------------------------
-
-
-def concat(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def conjugate(x: Word, g: Word) -> Word:
-    """g * x * g^-1."""
-    return x.conj(g)
-
-
 def square_commutator_embed(w: Word) -> Word:
     """Rewrite a rank-2 word under the endomorphism a -> a^2, b -> a b a^-1 b^-1.
 

@@ -16,7 +16,6 @@ from stallings import (
     subgroup_graph,
     three_regularize,
 )
-from stallings.graphs import same_type
 from stallings.verify import random_subgroup
 
 from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make
@@ -186,8 +185,8 @@ def test_three_regularize_preserves_rank_and_caps_valence():
         assert stats.max_valence <= 3
         branch = [v for v in R.graph.vertices if R.graph.valence(v) == 3]
         assert len(branch) == stats.branch_count
-        types = [R.graph.vertex_type(v) for v in branch]
-        assert all(same_type(s, t) for s in types for t in types)
+        # one branch vertex type: every 3-valent star has the same darts
+        assert len({R.graph.vertex_type(v).darts for v in branch}) <= 1
 
 
 def test_three_regularize_branch_count():

@@ -12,13 +12,12 @@ from stallings import (
     RANK2,
     Word,
     bouquet_of,
-    disjoint_union,
     fold_to_immersion,
     subgroup_graph,
     trim_to_core,
     wedge,
 )
-from stallings.graphs import ImproperLabelingError, same_type
+from stallings.graphs import ImproperLabelingError
 
 from conftest import FIGURE_MEET_WORD, make
 
@@ -173,14 +172,12 @@ def test_vertex_type_and_same_type():
     bp = g.basepoint
     t = g.vertex_type(bp)
     assert t.valence == 4
-    assert same_type(t, t)
+    assert t.darts == ((0, IN), (0, OUT), (1, IN), (1, OUT))
     h = folded_core_of("ab")
-    assert same_type(h.vertex_type(h.basepoint), t)  # subset of the rose star
+    assert h.vertex_type(h.basepoint).darts == ((0, OUT), (1, IN))
     k = folded_core_of("aa")
-    # {a-in, a-out} vs {a-in, b-out}: neither contains the other
-    assert not same_type(
-        k.vertex_type(k.basepoint), h.vertex_type(h.basepoint)
-    )
+    assert k.vertex_type(k.basepoint).darts == ((0, IN), (0, OUT))
+    assert k.vertex_type(k.basepoint) != h.vertex_type(h.basepoint)
 
 
 def test_valence_counts_loops_twice():
@@ -277,6 +274,14 @@ def test_dart_edge_agrees_with_a_linear_scan(seed, count):
                 assert g.dart_edge(v, label, direction) == (scanned[0] if scanned else None)
 
 
+def test_darts_come_by_label_outgoing_first():
+    # improperly labeled: two incoming a-darts at vertex 0
+    g = LabeledGraph(2, [0, 1], {"p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 0)})
+    assert g.darts(0) == ((1, "r", 0), (-1, "q", 1), (-1, "r", 0), (2, "p", 1))
+    assert g.darts(1) == ((1, "q", 0), (-2, "p", 0))
+    assert g.components() == [[0, 1]]
+
+
 def test_dart_edge_on_a_missing_vertex_is_a_key_error():
     g = folded_core_of("ab")
     with pytest.raises(KeyError):
@@ -284,13 +289,6 @@ def test_dart_edge_on_a_missing_vertex_is_a_key_error():
 
 
 # -- combination and canonical forms ------------------------------------------------
-
-
-def test_disjoint_union_counts_add():
-    g1, g2 = folded_core_of("a"), folded_core_of("b")
-    u = disjoint_union(g1, g2)
-    assert u.vertex_count == 2 and u.edge_count == 2
-    assert u.stats().component_count == 2
 
 
 def test_wedge_glues_basepoints():
@@ -346,6 +344,8 @@ def test_branch_excess_accounts_for_chi(seed, count):
 
 
 def test_components_cover_vertices():
-    g = disjoint_union(folded_core_of("a"), folded_core_of("b"))
+    # a loop labeled a at "x" and a loop labeled b at "y"
+    g = LabeledGraph(2, ["x", "y"], {0: (0, "x", "x"), 1: (1, "y", "y")})
+    assert g.stats().component_count == 2
     comps = g.components()
     assert sorted(v for comp in comps for v in comp) == sorted(g.vertices)

@@ -89,19 +89,19 @@ def test_entry_sum_counts_meet_branch_vertices():
 
 
 def test_incidence_matrix_accepts_precomputed_inputs():
-    from stallings import fiber_product
-
     Hn, Kn = normalize_pair(make("a", "bab"), make("b", "aa"))
     direct = incidence_matrix(Hn, Kn)
     via_core = incidence_matrix(Hn, Kn, based_meet_core(Hn, Kn))
-    via_fp = incidence_matrix(Hn, Kn, fiber_product(Hn, Kn))
-    assert direct == via_core == via_fp
+    assert direct == via_core
 
 
 def test_incidence_matrix_rejects_junk_third_argument():
-    Hn, Kn = normalize_pair(make("a", "bab"), make("b", "aa"))
-    with pytest.raises(TypeError):
-        incidence_matrix(Hn, Kn, fp="nope")
+    # a meet core whose branch vertices do not project into the pair
+    Hn, Kn = normalize_pair(make("a", "bab"), make("a", "bab"))
+    meet = based_meet_core(Hn, Kn)
+    foreign = meet.relabeled({(x, y): (x + 100, y) for x, y in meet.vertices})
+    with pytest.raises(ValueError, match="does not project"):
+        incidence_matrix(Hn, Kn, foreign)
 
 
 def test_render_shows_rows():
@@ -270,6 +270,12 @@ def test_bipartite_delta_rejects_mismatched_normal_form():
     nf_big = normal_form(M, po)
     with pytest.raises(ValueError):
         bipartite_delta(M1, nf_big)
+
+
+def test_bipartite_delta_rejects_entries_other_than_zero_and_one():
+    M = IncidenceMatrix(("r0",), ("c0",), ((2,),))
+    with pytest.raises(ValueError, match="0 or 1"):
+        bipartite_delta(M)
 
 
 def _component_count_oracle(M):

@@ -65,8 +65,8 @@ def test_fiber_product_projections_preserve_labels():
     H, K = make("a", "bab"), make("b", "aa")
     fp = fiber_product(H, K)
     for eid, label, src, dst in fp.graph.edges():
-        lh = H.graph.edge(fp.left_edge(eid))
-        lk = K.graph.edge(fp.right_edge(eid))
+        lh = H.graph.edge(eid[0])
+        lk = K.graph.edge(eid[1])
         assert lh[0] == lk[0] == label
         assert (lh[1], lk[1]) == src and (lh[2], lk[2]) == dst
 
@@ -149,6 +149,54 @@ def test_intersection_membership_agrees_with_factors(seed):
         assert M.contains(w) == K.contains(w)
 
 
+def _reduced_words(max_len):
+    """Every reduced rank-2 word of length at most ``max_len``."""
+    layer = [()]
+    out = [()]
+    for _ in range(max_len):
+        layer = [w + (x,) for w in layer for x in (1, -1, 2, -2) if not w or x != -w[-1]]
+        out += layer
+    return [Word(RANK2, w) for w in out]
+
+
+WORDS_UP_TO_6 = _reduced_words(6)
+
+
+def _oracle_pairs():
+    """Corpus pairs plus random small pairs (short words make meets common)."""
+    pairs = [(FIGURE_LEFT, FIGURE_RIGHT), (("a", "bab"), ("b", "aa")), (("a", "bab"), ("a", "bab"))]
+    pairs = [(make(*left), make(*right)) for left, right in pairs]
+    rng = random.Random(20240611)
+    for _ in range(12):
+        pairs.append(
+            (random_subgroup(rng, rng.randint(1, 3), 3), random_subgroup(rng, rng.randint(1, 3), 3))
+        )
+    return pairs
+
+
+@pytest.mark.parametrize("H, K", _oracle_pairs())
+def test_meet_and_join_membership_match_brute_force(H, K):
+    """Every reduced word of length <= 6 (1,457 of them) is checked by
+    tracing it in the factor cores alone; the product walker is not used."""
+    M, J = intersection(H, K), join(H, K)
+    for w in WORDS_UP_TO_6:
+        in_H, in_K = H.contains(w), K.contains(w)
+        assert M.contains(w) == (in_H and in_K), str(w)
+        if in_H or in_K:
+            assert J.contains(w), str(w)
+    for g in H.generators + K.generators:
+        assert J.contains(g)
+
+
+def test_brute_force_oracle_sees_nontrivial_meets():
+    """The oracle pairs are not all vacuous: several meets hold short words."""
+    counts = [
+        sum(H.contains(w) and K.contains(w) for w in WORDS_UP_TO_6[1:])
+        for H, K in _oracle_pairs()
+    ]
+    assert sum(1 for c in counts if c) >= 5
+
+
 # -- join ---------------------------------------------------------------------------
 
 
@@ -175,6 +223,21 @@ def test_join_contains_both_factors():
     assert J.rank == 2
     for w in H.basis() + K.basis():
         assert J.contains(w)
+
+
+def test_join_canonicalizes_its_core_once(monkeypatch):
+    H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
+    calls = []
+    real = LabeledGraph.canonical
+
+    def counting(self, *, based=True):
+        calls.append(self)
+        return real(self, based=based)
+
+    monkeypatch.setattr(LabeledGraph, "canonical", counting)
+    J = join(H, K)
+    assert len(calls) == 1
+    assert calls[0].vertex_count == J.graph.vertex_count
 
 
 def test_join_with_maps_sends_basepoints_together():
@@ -281,13 +344,13 @@ def test_double_cosets_of_equal_cyclic_groups():
     d = double_cosets(make("a"), make("a"))
     assert d.ranks == (1,)
     assert d.entries[0].based
-    assert d.excess_sum == 0
+    assert sum(r - 1 for r in d.ranks) == 0
 
 
 def test_double_cosets_can_be_empty():
     d = double_cosets(make("a"), make("b"))
     assert d.ranks == ()
-    assert d.excess_sum == 0
+    assert sum(r - 1 for r in d.ranks) == 0
 
 
 def test_double_cosets_of_the_whole_group():
@@ -295,7 +358,7 @@ def test_double_cosets_of_the_whole_group():
     d = double_cosets(F, F)
     assert d.ranks == (2,)
     assert d.entries[0].based
-    assert d.excess_sum == 1
+    assert sum(r - 1 for r in d.ranks) == 1
 
 
 def test_double_cosets_split_by_parity():

@@ -232,6 +232,42 @@ def test_normalize_pair_output_is_fully_normalized():
         assert all(meet.valence(v) >= 2 for v in meet.vertices)
 
 
+def test_check_instance_walks_the_normalized_meet_once(monkeypatch):
+    """self_join needs no conjugation, so the product component walked to
+    test the meet for triviality is the normalized pair's meet as well."""
+    from stallings import core, graphs, products, verify
+
+    H, K = fixture_pair(next(f for f in CORPUS_PAIRS if f["name"] == "self_join"))
+    Hn, Kn = normalize_pair(H, K)
+    walked = []
+
+    def counting(g1, g2):
+        walked.append((g1, g2))
+        return graphs.based_product(g1, g2)
+
+    for module in (core, products, verify):
+        monkeypatch.setattr(module, "based_product", counting)
+    check_instance(H, K)
+    assert walked.count((Hn.graph, Kn.graph)) == 1
+    assert walked.count((H.graph, K.graph)) == 1  # the raw meet
+
+
+def test_structural_invariant_breach_is_an_explicit_error(monkeypatch):
+    """A normalized pair of the wrong rank raises, with no ``assert`` that
+    ``python -O`` could strip."""
+    from stallings import verify
+
+    real = verify.three_regularize
+    # "bb" does not lie in <a, bab>, so each side gains a rank
+    monkeypatch.setattr(
+        verify,
+        "three_regularize",
+        lambda S: real(subgroup_graph(list(S.generators) + ["bb"], RANK2)),
+    )
+    with pytest.raises(AssertionError, match="factor ranks are preserved"):
+        check_instance(make("a", "bab"), make("a", "bab"))
+
+
 # -- random subgroups ----------------------------------------------------------------
 
 

@@ -11,12 +11,7 @@ from stallings import (
     embed_into_rank2,
     subgroup_graph,
 )
-from stallings.words import (
-    concat,
-    conjugate,
-    generator_squares,
-    square_commutator_embed,
-)
+from stallings.words import generator_squares, square_commutator_embed
 
 LETTERS2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12)
 
@@ -106,7 +101,7 @@ def test_word_times_inverse_is_identity(letters):
 def test_concat_examples():
     assert RANK2.word("a") * RANK2.word("Ab") == RANK2.word("b")
     assert RANK2.word("ab") * RANK2.word("Ba") == RANK2.word("aa")
-    assert concat(RANK2.word("a"), RANK2.identity()) == RANK2.word("a")
+    assert RANK2.word("a") * RANK2.identity() == RANK2.word("a")
 
 
 def test_concat_rejects_alphabet_mixing():
@@ -132,7 +127,7 @@ def test_powers():
 
 def test_conjugate_example():
     x, g = RANK2.word("bbaa"), RANK2.word("abb")
-    assert conjugate(x, g) == RANK2.word("abbbbaaBBA")
+    assert x.conj(g) == RANK2.word("abbbbaaBBA")
     assert x.conj(g) == g * x * ~g
 
 

@@ -91,7 +91,7 @@ def _from_core_form(
         raise ValueError("a subgroup core needs a basepoint")
     if not graph.is_properly_labeled():
         raise ValueError("a subgroup core must be properly labeled")
-    if graph.stats().component_count != 1:
+    if len(graph.components()) != 1:
         raise ValueError("a subgroup core must be connected")
     if not graph.is_core():
         raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
@@ -200,6 +200,10 @@ def _stem_word(graph: LabeledGraph) -> Word:
     raise ValueError("no branch vertex reachable; cannot normalize a rank <= 0 core")
 
 
+def _has_extremal_vertex(graph: LabeledGraph) -> bool:
+    return any(graph.valence(v) <= 1 for v in graph.vertices)
+
+
 def _conjugate_pair(H: Subgroup, K: Subgroup, v: Word) -> tuple[Subgroup, Subgroup]:
     return H.conj(v), K.conj(v)
 
@@ -233,13 +237,13 @@ def _normalize_nonextremal(
             "basepoint normalization needs a nontrivial intersection"
         )
     total = H.alphabet.identity()
-    if H.graph.stats().extremal_count:
+    if _has_extremal_vertex(H.graph):
         w = _stem_word(H.graph)
         step = ~w
         H, K = _conjugate_pair(H, K, step)
         total = step * total
         product = None
-    if K.graph.stats().extremal_count:
+    if _has_extremal_vertex(K.graph):
         w = _stem_word(K.graph)
         if not H.graph.trace(H.graph.basepoint, w).ok:
             raise AssertionError("stem word must be readable in both cores")
@@ -247,6 +251,6 @@ def _normalize_nonextremal(
         H, K = _conjugate_pair(H, K, step)
         total = step * total
         product = None
-    if H.graph.stats().extremal_count or K.graph.stats().extremal_count:
+    if _has_extremal_vertex(H.graph) or _has_extremal_vertex(K.graph):
         raise AssertionError("normalization failed to remove extremal vertices")
     return H, K, total, product

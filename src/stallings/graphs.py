@@ -120,12 +120,14 @@ class LabeledGraph:
     """A finite oriented graph with edges labeled by generator indices.
 
     Construction also builds the dart index, a table from
-    ``(vertex, label, direction)`` to edge id, so that properness is known
-    at once and :meth:`dart_edge` is a single lookup.
+    ``(vertex, label, direction)`` to edge id, and the clash set, the
+    vertices carrying two darts of one kind.  So properness is known at
+    once, :meth:`dart_edge` is a single lookup, and folding starts from
+    the clashes alone.
     """
 
     __slots__ = (
-        "rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_proper",
+        "rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_clashes",
         "_stars",
     )
 
@@ -140,19 +142,17 @@ class LabeledGraph:
         (eid, label, src, dst) tuples."""
         self.rank = rank
         self.basepoint = basepoint
-        edge_table: dict = {}
         if isinstance(edges, dict):
-            items = ((eid, rec[0], rec[1], rec[2]) for eid, rec in edges.items())
+            records = edges.items()
         else:
-            items = iter(edges)
-        order: dict = {}
-        for v in vertices:
-            order.setdefault(v, None)
+            records = ((eid, (label, src, dst)) for eid, label, src, dst in edges)
+        order = dict.fromkeys(vertices)
         out: dict = {v: [] for v in order}
         inc: dict = {v: [] for v in order}
+        edge_table: dict = {}
         dart: dict = {}
-        proper = True
-        for eid, label, src, dst in items:
+        clashes: set = set()
+        for eid, (label, src, dst) in records:
             if not 0 <= label < rank:
                 raise ValueError(f"edge {eid!r} label {label} out of range for rank {rank}")
             if src not in order or dst not in order:
@@ -162,11 +162,11 @@ class LabeledGraph:
             edge_table[eid] = (label, src, dst)
             out[src].append(eid)
             inc[dst].append(eid)
-            # a dart key already held by another edge makes the labeling improper
-            if dart.setdefault((src, label, OUT), eid) != eid:
-                proper = False
-            if dart.setdefault((dst, label, IN), eid) != eid:
-                proper = False
+            # a dart key already held by another edge is a clash at that vertex
+            if dart.setdefault((src, label, OUT), eid) is not eid:
+                clashes.add(src)
+            if dart.setdefault((dst, label, IN), eid) is not eid:
+                clashes.add(dst)
         if basepoint is not None and basepoint not in order:
             raise ValueError(f"basepoint {basepoint!r} missing from vertex set")
         self._edge = edge_table
@@ -174,7 +174,7 @@ class LabeledGraph:
         self._in = inc
         self._dart = dart
         self._vertex_order = tuple(order)
-        self._proper = proper
+        self._clashes = clashes  # vertices with two darts of one (label, direction)
         self._stars: dict = {}  # vertex -> its darts, filled in by darts()
 
     # -- structure access ----------------------------------------------------
@@ -217,7 +217,7 @@ class LabeledGraph:
         return VertexType(tuple(sorted(darts)))
 
     def is_properly_labeled(self) -> bool:
-        return self._proper
+        return not self._clashes
 
     # -- traversal -------------------------------------------------------------
 
@@ -250,7 +250,7 @@ class LabeledGraph:
 
     def dart_edge(self, v: Hashable, label: int, direction: int) -> Hashable | None:
         """The unique edge at ``v`` with the given label and direction, if any."""
-        if not self._proper:
+        if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
         e = self._dart.get((v, label, direction))
         if e is None and v not in self._out:
@@ -355,7 +355,7 @@ class LabeledGraph:
 
     # -- canonical form ------------------------------------------------------------
 
-    def _encode_from(self, start: Hashable, comp: list) -> tuple[dict, tuple]:
+    def _number_from(self, start: Hashable) -> dict:
         """BFS numbering from ``start`` in (label, out-then-in) dart order."""
         number = {start: 0}
         order = [start]
@@ -364,7 +364,12 @@ class LabeledGraph:
                 if w not in number:
                     number[w] = len(order)
                     order.append(w)
-        if len(order) != len(comp):
+        return number
+
+    def _encode_from(self, start: Hashable, comp: list) -> tuple[dict, tuple]:
+        """The numbering from ``start`` and the sorted edge code it gives."""
+        number = self._number_from(start)
+        if len(number) != len(comp):
             raise ValueError("component not connected under traversal")
         encoded = sorted(
             (number[src], label, number[dst])
@@ -373,45 +378,48 @@ class LabeledGraph:
         )
         return number, tuple(encoded)
 
-    def _component_encoding(self, comp: list, based_at: Hashable | None) -> tuple[dict, tuple]:
-        if based_at is not None:
-            return self._encode_from(based_at, comp)
-        # the first start with the least code wins ties
-        return min((self._encode_from(start, comp) for start in comp), key=lambda t: t[1])
+    def _numbering_by_code(self, anchor: Hashable | None) -> dict:
+        """Number the components one after another: the anchor's first,
+        then the rest by edge code."""
+        encoded = []
+        for comp in self.components():
+            based = anchor is not None and anchor in comp
+            if based:
+                numbering, code = self._encode_from(anchor, comp)
+            else:  # the first start with the least code wins ties
+                starts = (self._encode_from(start, comp) for start in comp)
+                numbering, code = min(starts, key=lambda t: t[1])
+            encoded.append(((not based, code), numbering))
+        encoded.sort(key=lambda t: t[0])
+        vertex_map: dict = {}
+        for _, numbering in encoded:
+            offset = len(vertex_map)
+            for v, n in numbering.items():
+                vertex_map[v] = offset + n
+        return vertex_map
 
     def canonical(self, *, based: bool = True) -> CanonicalForm:
         """Deterministic relabeling: vertices 0..n-1, edges 0..m-1.
 
         Two properly labeled graphs are isomorphic (respecting basepoints when
-        ``based``) exactly when their canonical forms are equal.
+        ``based``) exactly when their canonical forms are equal.  A based
+        graph that the walk from its basepoint covers is numbered by that
+        walk alone; edge codes are built only where they are compared, to
+        order several components or to pick the start of an unbased one.
         """
-        if not self._proper:
+        if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
-        comps = self.components()
-        use_base = self.basepoint if based else None
-        encoded = []
-        for comp in comps:
-            anchor = use_base if use_base is not None and use_base in comp else None
-            numbering, code = self._component_encoding(comp, anchor)
-            # the based component sorts first, then by code
-            key = (0 if anchor is not None else 1, code)
-            encoded.append((key, numbering, comp))
-        encoded.sort(key=lambda t: t[0])
-        vertex_map: dict = {}
-        offset = 0
-        for _, numbering, comp in encoded:
-            for v, n in numbering.items():
-                vertex_map[v] = offset + n
-            offset += len(comp)
+        anchor = self.basepoint if based else None
+        vertex_map = None if anchor is None else self._number_from(anchor)
+        if vertex_map is None or len(vertex_map) != len(self._vertex_order):
+            vertex_map = self._numbering_by_code(anchor)
+        # no two edges of a properly labeled graph share (source, label, target)
         ordered_edges = sorted(
-            self._edge.items(),
-            key=lambda item: (vertex_map[item[1][1]], item[1][0], vertex_map[item[1][2]]),
+            (vertex_map[src], label, vertex_map[dst], eid)
+            for eid, (label, src, dst) in self._edge.items()
         )
-        edge_map = {eid: i for i, (eid, _) in enumerate(ordered_edges)}
-        edges = {
-            edge_map[eid]: (label, vertex_map[src], vertex_map[dst])
-            for eid, (label, src, dst) in ordered_edges
-        }
+        edge_map = {eid: i for i, (_, _, _, eid) in enumerate(ordered_edges)}
+        edges = {i: (label, src, dst) for i, (src, label, dst, _) in enumerate(ordered_edges)}
         bp = None
         if based and self.basepoint is not None:
             bp = vertex_map[self.basepoint]
@@ -593,104 +601,122 @@ class FoldResult:
 def fold_to_immersion(g: LabeledGraph) -> FoldResult:
     """Identify equally labeled edges sharing an endpoint until properly labeled.
 
-    Disjoint-set partitions over vertices and edges driven by a worklist;
-    near-linear, and confluent up to isomorphism regardless of fold order.
+    The worklist starts at the graph's clashes, in vertex order, and only
+    vertices that a fold merges join it later.  A vertex gets its dart table
+    the first time a fold reaches it, so the work grows with the folds
+    made, plus one rebuild when there is any.  Disjoint-set partitions over
+    vertices and edges record the identifications; a surviving edge is an
+    edge root.  Confluent up to isomorphism regardless of fold order.
     """
-    vparts = DisjointSet(g.vertices)
-    eparts = DisjointSet(e for e, *_ in g.edges())
+    edge, out, inc = g._edge, g._out, g._in
+    vparts = DisjointSet(g._vertex_order)
+    eparts = DisjointSet(edge)
     find_v, find_e = vparts.find, eparts.find  # hoisted: the loop is hot
-    alive = set(eparts.parent)
-    ends = {e: (src, dst) for e, _, src, dst in g.edges()}
-    labels = {e: label for e, label, *_ in g.edges()}
-    # per-root dart table: (label, direction) -> edge ids (lazily compacted)
-    darts: dict = {v: {} for v in g.vertices}
-    for e, label, src, dst in g.edges():
-        darts[src].setdefault((label, OUT), []).append(e)
-        darts[dst].setdefault((label, IN), []).append(e)
+    merged_vertices: list = []
+    merged_edges: list = []
+    # root vertex -> (label, direction) -> edge ids (lazily compacted)
+    darts: dict = {}
 
-    pending = deque(g.vertices)
-    enqueued = set(g.vertices)
+    def dart_table(v):
+        table = darts.get(v)
+        if table is None:  # v has absorbed nothing, so g's darts at v are all of them
+            table = darts[v] = {}
+            for e in out[v]:
+                table.setdefault((edge[e][0], OUT), []).append(e)
+            for e in inc[v]:
+                table.setdefault((edge[e][0], IN), []).append(e)
+        return table
 
     def far_endpoint(e, direction):
-        src, dst = ends[e]
+        _, src, dst = edge[e]
         return find_v(dst if direction == OUT else src)
+
+    clashes = g._clashes
+    pending = deque(v for v in g._vertex_order if v in clashes)
+    enqueued = set(clashes)
 
     while pending:
         v = pending.popleft()
         enqueued.discard(v)
         v = find_v(v)
-        if v not in darts:
-            continue
         rescan = True
         while rescan:
             rescan = False
-            table = darts[v]
-            for key in list(table):
-                compacted = []
-                seen: set = set()
-                for e in table[key]:
-                    r = find_e(e)
-                    if r in alive and r not in seen:
-                        seen.add(r)
-                        compacted.append(r)
-                table[key] = compacted
-                if len(compacted) < 2:
-                    continue
-                keep, drop = compacted[0], compacted[1]
-                _, direction = key
-                t1 = far_endpoint(keep, direction)
-                t2 = far_endpoint(drop, direction)
-                eparts.union(keep, drop)
-                alive.discard(drop)
-                table[key] = [e for e in compacted if e != drop]
-                if t1 != t2:
+            table = dart_table(v)
+            for key, ids in table.items():
+                roots = table[key] = list(dict.fromkeys(map(find_e, ids)))
+                direction = key[1]
+                while len(roots) > 1:
+                    keep, drop = roots[0], roots.pop()  # the first edge absorbs the rest
+                    t1 = far_endpoint(keep, direction)
+                    t2 = far_endpoint(drop, direction)
+                    eparts.union(keep, drop)
+                    merged_edges.append(drop)
+                    if t1 == t2:
+                        continue
                     # absorb the smaller dart table into the larger
-                    big, small = (t1, t2) if len(darts[t1]) >= len(darts[t2]) else (t2, t1)
+                    table1, table2 = dart_table(t1), dart_table(t2)
+                    big, small = (t1, t2) if len(table1) >= len(table2) else (t2, t1)
                     vparts.union(big, small)
-                    for k, lst in darts[small].items():
-                        darts[big].setdefault(k, []).extend(lst)
-                    del darts[small]
+                    merged_vertices.append(small)
+                    big_table = darts[big]
+                    for k, lst in darts.pop(small).items():
+                        big_table.setdefault(k, []).extend(lst)
                     if big not in enqueued:
                         pending.append(big)
                         enqueued.add(big)
-                    v = find_v(v)
-                    if v not in darts:
-                        rescan = False
+                    if v == big or v == small:  # v's own darts changed: start over
+                        v = big
+                        rescan = True
                         break
-                rescan = True
-                break
+                if rescan:
+                    break
 
-    vertex_map = {v: find_v(v) for v in g.vertices}
-    edge_map = {e: find_e(e) for e in eparts.parent}
-    edges = {}
-    for e in alive:
-        src, dst = ends[e]
-        edges[e] = (labels[e], find_v(src), find_v(dst))
-    vertices = dict.fromkeys(vertex_map.values())
-    bp = None if g.basepoint is None else find_v(g.basepoint)
-    folded = LabeledGraph(g.rank, vertices, edges, basepoint=bp)
-    if not folded.is_properly_labeled():
+    if not merged_edges:
+        folded = g
+    else:
+        # every non-root was merged once; finding it points it at its root,
+        # so the parent tables become the correspondence maps
+        for x in merged_vertices:
+            find_v(x)
+        for e in merged_edges:
+            find_e(e)
+        vmap = vparts.parent
+        gone = set(merged_edges)
+        edges = {
+            e: (label, vmap[src], vmap[dst])
+            for e, (label, src, dst) in edge.items()
+            if e not in gone
+        }
+        bp = None if g.basepoint is None else vmap[g.basepoint]
+        folded = LabeledGraph(g.rank, dict.fromkeys(vmap.values()), edges, basepoint=bp)
+    if folded._clashes:
         raise ImproperLabelingError("folding left two darts with one label and direction")
-    return FoldResult(folded, vertex_map, edge_map)
+    return FoldResult(folded, vparts.parent, eparts.parent)
 
 
 def trim_to_core(g: LabeledGraph, *, keep_basepoint: bool = True) -> LabeledGraph:
-    """Iteratively delete valence <= 1 vertices (never the kept basepoint)."""
+    """Iteratively delete valence <= 1 vertices (never the kept basepoint).
+
+    Returns ``g`` itself when nothing is cut and the basepoint stays, which
+    graphs, being values, allow.
+    """
     protected = g.basepoint if keep_basepoint else None
-    degree = {v: g.valence(v) for v in g.vertices}
+    out, inc = g._out, g._in
+    degree = {v: len(out[v]) + len(inc[v]) for v in g._vertex_order}
     dead_vertices: set = set()
     dead_edges: set = set()
-    queue = deque(v for v in g.vertices if degree[v] <= 1 and v != protected)
+    queue = deque(v for v, d in degree.items() if d <= 1 and v != protected)
     while queue:
         v = queue.popleft()
         if v in dead_vertices or degree[v] > 1:
             continue
         dead_vertices.add(v)
-        for e in list(g.out_edges(v)) + list(g.in_edges(v)):
+        for e in out[v] + inc[v]:
             if e in dead_edges:
                 continue
             dead_edges.add(e)
-            _, src, dst = g.edge(e)
+            _, src, dst = g._edge[e]
             for endpoint in (src, dst):
                 degree[endpoint] -= 1
                 if (
@@ -699,6 +725,7 @@ def trim_to_core(g: LabeledGraph, *, keep_basepoint: bool = True) -> LabeledGrap
                     and endpoint != protected
                 ):
                     queue.append(endpoint)
-    keep = {v for v in g.vertices if v not in dead_vertices}
-    bp = g.basepoint if (keep_basepoint and g.basepoint in keep) else None
-    return g.subgraph(keep, basepoint=bp)
+    if not dead_vertices and protected == g.basepoint:
+        return g
+    keep = {v for v in g._vertex_order if v not in dead_vertices}
+    return g.subgraph(keep, basepoint=protected)

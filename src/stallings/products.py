@@ -155,6 +155,7 @@ class PushoutResult:
         self.edge_class = edge_class  # (side, edge) -> quotient edge
         # ((LEFT, u), (RIGHT, v)) pairs whose full stars a core identifies
         self.star_seeds = star_seeds
+        self._star_classes: StarClassSummary | None = None
 
     @property
     def chi(self) -> int:
@@ -171,8 +172,11 @@ class PushoutResult:
         star on each side, identifying the two in full; the classes are
         the transitive closure of those identifications.  A star no such
         vertex reaches stays a singleton, even when its darts happen to
-        land on the same quotient edges as another star's.
+        land on the same quotient edges as another star's.  Computed once
+        per pushout.
         """
+        if self._star_classes is not None:
+            return self._star_classes
         parts = DisjointSet()
         for side, graph in self._sides():
             for v in graph.vertices:
@@ -190,12 +194,13 @@ class PushoutResult:
         by_vertex: dict = defaultdict(set)
         for tagged, index in assignment.items():
             by_vertex[self.vertex_class[tagged]].add(index)
-        return StarClassSummary(
+        self._star_classes = StarClassSummary(
             count=len(members),
             assignment=assignment,
             members=tuple(members),
             by_quotient_vertex={z: tuple(sorted(s)) for z, s in by_vertex.items()},
         )
+        return self._star_classes
 
     def special_vertices(self) -> list:
         """Quotient branch vertices with no branch vertex above them."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stallings import (
     IN,
     OUT,
+    Alphabet,
     LabeledGraph,
     RANK2,
     Word,
@@ -119,6 +120,121 @@ def test_fold_confluence_under_generator_order():
         assert folded_core_of(*shuffled).isomorphic(reference)
 
 
+def _naive_fold(g):
+    """The textbook fold: merge one clash at a time until none is left.
+
+    Returns the folded graph and the original -> surviving vertex and edge
+    maps.
+    """
+    vmap = {v: v for v in g.vertices}
+    emap = {e: e for e, *_ in g.edges()}
+    edges = {e: (label, src, dst) for e, label, src, dst in g.edges()}
+    while True:
+        holder: dict = {}
+        clash = None
+        for e, (label, src, dst) in edges.items():
+            for key, far in (((src, label, OUT), dst), ((dst, label, IN), src)):
+                if key in holder and clash is None:
+                    clash = holder[key], e, far
+                holder.setdefault(key, (e, far))
+        if clash is None:
+            break
+        (keep, far_keep), drop, far_drop = clash
+        del edges[drop]
+        emap = {e: keep if image == drop else image for e, image in emap.items()}
+        if far_drop != far_keep:
+            vmap = {v: far_keep if image == far_drop else image for v, image in vmap.items()}
+            edges = {
+                e: (label, far_keep if src == far_drop else src, far_keep if dst == far_drop else dst)
+                for e, (label, src, dst) in edges.items()
+            }
+    bp = None if g.basepoint is None else vmap[g.basepoint]
+    return LabeledGraph(g.rank, dict.fromkeys(vmap.values()), edges, basepoint=bp), vmap, emap
+
+
+def _partition(mapping):
+    classes: dict = {}
+    for x, image in mapping.items():
+        classes.setdefault(image, set()).add(x)
+    return sorted(sorted(members, key=repr) for members in classes.values())
+
+
+def _random_core(rng, rank):
+    from stallings.verify import random_subgroup
+
+    return random_subgroup(rng, rng.randint(1, 3), 6, Alphabet(rank))
+
+
+def _fold_input(kind, seed, rank):
+    """A graph with clashes of the kind the package folds: a bouquet of
+    random words, the same hung from a stem edge (so that its clashes sit
+    away from the basepoint), a wedge of two cores, or a pushout quotient."""
+    from stallings import based_meet_core, double_cosets, topological_pushout
+    from stallings.verify import _random_reduced_word
+
+    rng = random.Random(seed)
+    if kind in ("bouquet", "stem"):
+        words = [
+            _random_reduced_word(rng, rng.randint(1, 8), Alphabet(rank))
+            for _ in range(rng.randint(1, 4))
+        ]
+        g = bouquet_of(words, Alphabet(rank))
+        if kind == "bouquet":
+            return g
+        edges = {e: (label, src, dst) for e, label, src, dst in g.edges()}
+        edges[-1] = (rng.randrange(rank), -1, g.basepoint)
+        return LabeledGraph(rank, [-1, *g.vertices], edges, basepoint=-1)
+    H, K = _random_core(rng, rank), _random_core(rng, rank)
+    if kind == "wedge":
+        return wedge(H.graph, K.graph)[0]
+    cores = [based_meet_core(H, K)]
+    if rng.random() < 0.5:
+        cores += [entry.core for entry in double_cosets(H, K).entries]
+    return topological_pushout(H, K, cores).graph
+
+
+FOLD_INPUTS = st.tuples(
+    st.sampled_from(["bouquet", "stem", "wedge", "pushout"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FOLD_INPUTS)
+def test_fold_matches_the_naive_fold(case):
+    g = _fold_input(*case)
+    result = fold_to_immersion(g)
+    reference, vmap, emap = _naive_fold(g)
+    assert result.graph.is_properly_labeled()
+    assert result.graph.canonical_key() == reference.canonical_key()
+    # folding is a quotient map: the identifications themselves are unique
+    assert _partition(result.vertex_map) == _partition(vmap)
+    assert _partition(result.edge_map) == _partition(emap)
+    for e, label, src, dst in g.edges():
+        image = result.graph.edge(result.edge_map[e])
+        assert image == (label, result.vertex_map[src], result.vertex_map[dst])
+
+
+@settings(max_examples=100, deadline=None)
+@given(FOLD_INPUTS)
+def test_clash_set_matches_a_dart_count(case):
+    g = _fold_input(*case)
+    darts: dict = {}
+    for _, label, src, dst in g.edges():
+        for key in ((src, label, OUT), (dst, label, IN)):
+            darts[key] = darts.get(key, 0) + 1
+    assert g._clashes == {v for (v, _, _), count in darts.items() if count > 1}
+    assert g.is_properly_labeled() == (not g._clashes)
+
+
+def test_fold_of_a_proper_graph_returns_it():
+    g = folded_core_of("ab", "ba")
+    result = fold_to_immersion(g)
+    assert result.graph is g
+    assert result.vertex_map == {v: v for v in g.vertices}
+
+
 # -- trimming -----------------------------------------------------------------------
 
 
@@ -150,6 +266,24 @@ def test_trim_without_basepoint_protection():
     g = fold_to_immersion(bouquet_of([RANK2.word("abA")])).graph
     t = trim_to_core(g, keep_basepoint=False)
     assert (t.vertex_count, t.edge_count) == (1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_trim_returns_a_core_itself(seed, rank):
+    g = _random_core(random.Random(seed), rank).graph
+    assert trim_to_core(g) is g
+    trimmed = trim_to_core(g, keep_basepoint=False)
+    if g.valence(g.basepoint) >= 2:
+        assert trimmed is not g and trimmed == g.with_basepoint(None)
+    else:
+        assert trimmed.vertex_count < g.vertex_count
+
+
+def test_trim_that_cuts_builds_a_new_graph():
+    g = LabeledGraph(2, ["u", "w"], {0: (0, "u", "u"), 1: (1, "u", "w")}, basepoint="u")
+    t = trim_to_core(g)
+    assert t is not g and trim_to_core(t) is t
 
 
 # -- stats and types ----------------------------------------------------------------

@@ -252,6 +252,43 @@ def test_check_instance_walks_the_normalized_meet_once(monkeypatch):
     assert walked.count((H.graph, K.graph)) == 1  # the raw meet
 
 
+def test_check_instance_partitions_each_pushouts_stars_once(monkeypatch):
+    """self_join builds two pushouts whose stars are partitioned, the
+    normalized one and the multicore one; each is partitioned once, though
+    the structural fields, the normal form and the valence bound all read it."""
+    from stallings import products
+
+    H, K = fixture_pair(next(f for f in CORPUS_PAIRS if f["name"] == "self_join"))
+    real = products.StarClassSummary
+    made = []
+
+    def counting(**fields):
+        made.append(fields["count"])
+        return real(**fields)
+
+    monkeypatch.setattr(products, "StarClassSummary", counting)
+    check_instance(H, K)
+    assert len(made) == 2
+
+
+def test_normalize_pair_reads_no_graph_stats(monkeypatch):
+    """Extremal vertices are found by a valence scan, not by ``stats()``,
+    which walks every component."""
+    from stallings.graphs import LabeledGraph
+
+    H, K = fixture_pair(next(f for f in CORPUS_PAIRS if f["name"] == "self_join"))
+    real = LabeledGraph.stats
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(LabeledGraph, "stats", counting)
+    normalize_pair(H, K)
+    assert calls == []
+
+
 def test_structural_invariant_breach_is_an_explicit_error(monkeypatch):
     """A normalized pair of the wrong rank raises, with no ``assert`` that
     ``python -O`` could strip."""

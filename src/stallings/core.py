@@ -91,11 +91,14 @@ def _from_core_form(
         raise ValueError("a subgroup core needs a basepoint")
     if not graph.is_properly_labeled():
         raise ValueError("a subgroup core must be properly labeled")
-    if len(graph.components()) != 1:
+    # the walk that numbers the canonical form reaches every vertex exactly
+    # when the core is connected
+    numbering = graph._number_from(graph.basepoint)
+    if len(numbering) != graph.vertex_count:
         raise ValueError("a subgroup core must be connected")
     if not graph.is_core():
         raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
-    form = graph.canonical()
+    form = graph._renumbered(numbering, based=True)
     canon = form.graph
     sub = Subgroup(alphabet, (), canon)
     gens = tuple(generators) if generators is not None else tuple(basis(sub))

@@ -413,6 +413,11 @@ class LabeledGraph:
         vertex_map = None if anchor is None else self._number_from(anchor)
         if vertex_map is None or len(vertex_map) != len(self._vertex_order):
             vertex_map = self._numbering_by_code(anchor)
+        return self._renumbered(vertex_map, based=based)
+
+    def _renumbered(self, vertex_map: dict, *, based: bool) -> CanonicalForm:
+        """The canonical form that ``vertex_map``, the canonical numbering of
+        every vertex of this properly labeled graph, gives."""
         # no two edges of a properly labeled graph share (source, label, target)
         ordered_edges = sorted(
             (vertex_map[src], label, vertex_map[dst], eid)
@@ -505,32 +510,72 @@ class LabeledGraph:
 
 
 def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> LabeledGraph:
-    """One subdivided loop per nonidentity generator, wedged at a basepoint."""
+    """A based graph that folds onto the core of the subgroup ``gens`` generate.
+
+    The graph is a fold-quotient of the plain bouquet (one subdivided loop
+    per nonidentity generator, wedged at the basepoint 0), so folding either
+    gives the same graph.  Generators are laid shortest first, each written
+    u c u^-1 with c cyclically reduced.  What of u can be read from the
+    basepoint along darts already laid is read, and only the rest is laid.
+    From the end of u, c is read forwards and then backwards, short of all
+    of it, and only its unread middle is laid, at least one edge.  So the
+    clashes left for the fold are the true identifications the reading
+    could not make.
+    """
     gens = list(gens)
     if alphabet is None:
         if not gens:
             raise ValueError("an alphabet is required for an empty generator list")
         alphabet = gens[0].alphabet
+    if any(w.alphabet != alphabet for w in gens):
+        raise ValueError("generators use mismatched alphabets")
     edges: dict = {}
+    step: dict = {}  # (vertex, signed letter) -> far end of the first dart laid there
     next_vertex = 1
-    next_edge = 0
-    for w in gens:
-        if w.alphabet != alphabet:
-            raise ValueError("generators use mismatched alphabets")
-        if w.is_identity:
-            continue
-        prev = 0
-        for i, letter in enumerate(w.letters):
-            here = 0 if i == len(w.letters) - 1 else next_vertex
-            if here != 0:
-                next_vertex += 1
-            label = abs(letter) - 1
-            if letter > 0:
-                edges[next_edge] = (label, prev, here)
+
+    def read(v, letters) -> tuple[int, Hashable]:
+        """How many of ``letters`` read from ``v``, and the vertex reached."""
+        count = 0
+        for letter in letters:
+            w = step.get((v, letter))
+            if w is None:
+                break
+            v = w
+            count += 1
+        return count, v
+
+    def lay(v, letters, end=None) -> Hashable:
+        """A path from ``v`` spelling ``letters`` through new vertices, ending
+        at ``end`` when one is given; returns its last vertex."""
+        nonlocal next_vertex
+        for i, letter in enumerate(letters, 1):
+            if end is not None and i == len(letters):
+                w = end
             else:
-                edges[next_edge] = (label, here, prev)
-            next_edge += 1
-            prev = here
+                w = next_vertex
+                next_vertex += 1
+            if letter > 0:
+                edges[len(edges)] = (letter - 1, v, w)
+            else:
+                edges[len(edges)] = (-letter - 1, w, v)
+            step.setdefault((v, letter), w)
+            step.setdefault((w, -letter), v)
+            v = w
+        return v
+
+    for w in sorted(gens, key=len):
+        letters = w.letters
+        if not letters:
+            continue
+        k = 0  # a reduced word is never its own inverse, so c is not empty
+        while letters[k] == -letters[-1 - k]:
+            k += 1
+        u, c = letters[:k], letters[k : len(letters) - k]
+        read_u, x = read(0, u)
+        x = lay(x, u[read_u:])
+        head, y = read(x, c[:-1])
+        tail, z = read(x, [-letter for letter in reversed(c[head + 1 :])])
+        lay(y, c[head : len(c) - tail], z)
     return LabeledGraph(alphabet.rank, range(next_vertex), edges, basepoint=0)
 
 
@@ -601,12 +646,16 @@ class FoldResult:
 def fold_to_immersion(g: LabeledGraph) -> FoldResult:
     """Identify equally labeled edges sharing an endpoint until properly labeled.
 
-    The worklist starts at the graph's clashes, in vertex order, and only
-    vertices that a fold merges join it later.  A vertex gets its dart table
-    the first time a fold reaches it, so the work grows with the folds
-    made, plus one rebuild when there is any.  Disjoint-set partitions over
-    vertices and edges record the identifications; a surviving edge is an
-    edge root.  Confluent up to isomorphism regardless of fold order.
+    Each vertex root a fold touches keeps a table from dart kind (label,
+    direction) to one edge; a second edge of a kind the table holds is
+    queued as a pair to identify.  Identifying a pair unions the two edges
+    and their far ends, and merging two vertices pours the smaller table
+    into the larger, queuing a pair for each kind both hold.  The queue
+    starts at the graph's clashes, in vertex order, so the work grows with
+    the identifications made, plus one rebuild when there is any.
+    Disjoint-set partitions over vertices and edges record them; a
+    surviving edge is an edge root.  Any order of folds gives the same
+    quotient.
     """
     edge, out, inc = g._edge, g._out, g._in
     vparts = DisjointSet(g._vertex_order)
@@ -614,63 +663,46 @@ def fold_to_immersion(g: LabeledGraph) -> FoldResult:
     find_v, find_e = vparts.find, eparts.find  # hoisted: the loop is hot
     merged_vertices: list = []
     merged_edges: list = []
-    # root vertex -> (label, direction) -> edge ids (lazily compacted)
-    darts: dict = {}
+    pairs: deque = deque()  # (held edge, edge to identify with it, direction at the shared end)
+    darts: dict = {}  # root vertex -> (label, direction) -> edge
 
     def dart_table(v):
         table = darts.get(v)
         if table is None:  # v has absorbed nothing, so g's darts at v are all of them
             table = darts[v] = {}
-            for e in out[v]:
-                table.setdefault((edge[e][0], OUT), []).append(e)
-            for e in inc[v]:
-                table.setdefault((edge[e][0], IN), []).append(e)
+            for direction, ids in ((OUT, out[v]), (IN, inc[v])):
+                for e in ids:
+                    held = table.setdefault((edge[e][0], direction), e)
+                    if held != e:
+                        pairs.append((held, e, direction))
         return table
 
-    def far_endpoint(e, direction):
-        _, src, dst = edge[e]
-        return find_v(dst if direction == OUT else src)
-
     clashes = g._clashes
-    pending = deque(v for v in g._vertex_order if v in clashes)
-    enqueued = set(clashes)
+    for v in g._vertex_order:
+        if v in clashes:
+            dart_table(v)
 
-    while pending:
-        v = pending.popleft()
-        enqueued.discard(v)
-        v = find_v(v)
-        rescan = True
-        while rescan:
-            rescan = False
-            table = dart_table(v)
-            for key, ids in table.items():
-                roots = table[key] = list(dict.fromkeys(map(find_e, ids)))
-                direction = key[1]
-                while len(roots) > 1:
-                    keep, drop = roots[0], roots.pop()  # the first edge absorbs the rest
-                    t1 = far_endpoint(keep, direction)
-                    t2 = far_endpoint(drop, direction)
-                    eparts.union(keep, drop)
-                    merged_edges.append(drop)
-                    if t1 == t2:
-                        continue
-                    # absorb the smaller dart table into the larger
-                    table1, table2 = dart_table(t1), dart_table(t2)
-                    big, small = (t1, t2) if len(table1) >= len(table2) else (t2, t1)
-                    vparts.union(big, small)
-                    merged_vertices.append(small)
-                    big_table = darts[big]
-                    for k, lst in darts.pop(small).items():
-                        big_table.setdefault(k, []).extend(lst)
-                    if big not in enqueued:
-                        pending.append(big)
-                        enqueued.add(big)
-                    if v == big or v == small:  # v's own darts changed: start over
-                        v = big
-                        rescan = True
-                        break
-                if rescan:
-                    break
+    while pairs:
+        keep, drop, direction = pairs.popleft()
+        keep, drop = find_e(keep), find_e(drop)
+        if keep == drop:
+            continue
+        eparts.union(keep, drop)
+        merged_edges.append(drop)
+        far = 2 if direction == OUT else 1  # the record index of the far end
+        t1, t2 = find_v(edge[keep][far]), find_v(edge[drop][far])
+        if t1 == t2:
+            continue
+        table1, table2 = dart_table(t1), dart_table(t2)
+        if len(table1) < len(table2):
+            t1, t2, table1, table2 = t2, t1, table2, table1
+        vparts.union(t1, t2)
+        merged_vertices.append(t2)
+        del darts[t2]
+        for kind, e in table2.items():
+            held = table1.setdefault(kind, e)
+            if held != e:
+                pairs.append((held, e, kind[1]))
 
     if not merged_edges:
         folded = g

@@ -250,23 +250,26 @@ def topological_pushout(
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
-    vparts = DisjointSet()
-    eparts = DisjointSet()
-    for side, graph in ((LEFT, gH), (RIGHT, gK)):
-        for v in graph.vertices:
-            vparts.add((side, v))
-        for e, *_ in graph.edges():
-            eparts.add((side, e))
+    sides = ((LEFT, gH), (RIGHT, gK))
+    # tagged vertices and edges are coded by their rank in sorted order, so
+    # numbering the classes by least member numbers them by least code
+    vertices = [(side, v) for side, graph in sides for v in sorted(graph.vertices)]
+    edges = [(side, *rest) for side, graph in sides for rest in sorted(graph.edges())]
+    vertex_code = {tagged: code for code, tagged in enumerate(vertices)}
+    edge_code = {(side, e): code for code, (side, e, _, _, _) in enumerate(edges)}
+    vparts = DisjointSet(range(len(vertices)))
+    eparts = DisjointSet(range(len(edges)))
 
     star_seeds = []
     for core in cores:
         for v in core.vertices:
             vH, vK = v
-            if not (gH.has_vertex(vH) and gK.has_vertex(vK)):
+            left, right = (LEFT, vH), (RIGHT, vK)
+            if left not in vertex_code or right not in vertex_code:
                 raise ValueError(f"core vertex {v!r} does not project into both factors")
-            vparts.union((LEFT, vH), (RIGHT, vK))
+            vparts.union(vertex_code[left], vertex_code[right])
             if core.valence(v) == 3:
-                star_seeds.append(((LEFT, vH), (RIGHT, vK)))
+                star_seeds.append((left, right))
         for eid, label, src, dst in core.edges():
             eH, eK = eid
             for side_graph, e, s, d in (
@@ -281,31 +284,26 @@ def topological_pushout(
                     raise ValueError(
                         f"core edge {eid!r} does not commute with the projections"
                     )
-            eparts.union((LEFT, eH), (RIGHT, eK))
+            eparts.union(edge_code[LEFT, eH], edge_code[RIGHT, eK])
 
-    vertex_classes = sorted(vparts.classes())
-    vertex_class = {}
-    for index, members in enumerate(vertex_classes):
-        for tagged in members:
-            vertex_class[tagged] = index
-    edge_classes = sorted(eparts.classes())
+    find_v, find_e = vparts.find, eparts.find
+    vertex_index: dict = {}  # vertex class root -> quotient vertex
+    vertex_class = {
+        tagged: vertex_index.setdefault(find_v(code), len(vertex_index))
+        for code, tagged in enumerate(vertices)
+    }
+    edge_index: dict = {}  # edge class root -> quotient edge
     edge_class = {}
-    quotient_edges = {}
-    graphs = {LEFT: gH, RIGHT: gK}
-    for index, members in enumerate(edge_classes):
-        for tagged in members:
-            edge_class[tagged] = index
-        records = set()
-        for side, e in members:
-            label, src, dst = graphs[side].edge(e)
-            records.add((label, vertex_class[(side, src)], vertex_class[(side, dst)]))
-        if len(records) != 1:
+    quotient_edges: dict = {}  # quotient edge -> the record of its first member
+    for code, (side, e, label, src, dst) in enumerate(edges):
+        index = edge_class[side, e] = edge_index.setdefault(find_e(code), len(edge_index))
+        record = (label, vertex_class[side, src], vertex_class[side, dst])
+        if quotient_edges.setdefault(index, record) != record:
             raise ValueError("identified edges disagree on label or endpoints")
-        quotient_edges[index] = next(iter(records))
 
     basepoint = vertex_class[(LEFT, gH.basepoint)]
     graph = LabeledGraph(
-        gH.rank, range(len(vertex_classes)), quotient_edges, basepoint=basepoint
+        gH.rank, range(len(vertex_index)), quotient_edges, basepoint=basepoint
     )
     return PushoutResult(
         gH, gK, graph, vertex_class, edge_class, star_seeds=tuple(star_seeds)

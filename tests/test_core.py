@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from stallings import (
     Alphabet,
+    LabeledGraph,
     RANK2,
+    Subgroup,
     Word,
     basis,
     membership,
@@ -77,6 +79,43 @@ def test_subgroup_from_spec_validates():
         subgroup_from_spec({"alphabet_rank": 0, "generators": ["a"]})
     with pytest.raises(ValueError):
         subgroup_from_spec({"alphabet_rank": 2})
+
+
+# -- wrapping a core ----------------------------------------------------------------
+
+
+def test_from_core_needs_a_basepoint():
+    g = LabeledGraph(2, [0], {0: (0, 0, 0)})
+    with pytest.raises(ValueError, match="needs a basepoint"):
+        Subgroup.from_core(g, RANK2)
+
+
+def test_from_core_needs_a_proper_labeling():
+    g = LabeledGraph(2, [0], {0: (0, 0, 0), 1: (0, 0, 0)}, basepoint=0)
+    with pytest.raises(ValueError, match="must be properly labeled"):
+        Subgroup.from_core(g, RANK2)
+
+
+def test_from_core_needs_a_connected_core():
+    # an a-loop at the basepoint and a b-loop at a vertex it cannot reach
+    g = LabeledGraph(2, [0, 1], {0: (0, 0, 0), 1: (1, 1, 1)}, basepoint=0)
+    with pytest.raises(ValueError, match="must be connected"):
+        Subgroup.from_core(g, RANK2)
+
+
+def test_from_core_rejects_a_hanging_vertex():
+    # an a-loop at the basepoint with a b-edge hanging off it
+    g = LabeledGraph(2, [0, 1], {0: (0, 0, 0), 1: (1, 0, 1)}, basepoint=0)
+    with pytest.raises(ValueError, match="non-basepoint valence <= 1"):
+        Subgroup.from_core(g, RANK2)
+
+
+def test_from_core_rejects_a_generator_off_the_core():
+    core = make("a").graph
+    with pytest.raises(ValueError, match="does not trace a based loop"):
+        Subgroup.from_core(core, RANK2, generators=[RANK2.word("b")])
+    with pytest.raises(ValueError, match="does not trace a based loop"):
+        Subgroup.from_core(make("ab").graph, RANK2, generators=[RANK2.word("a")])
 
 
 # -- membership ---------------------------------------------------------------------

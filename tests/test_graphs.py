@@ -28,6 +28,25 @@ def folded_core_of(*texts):
     return trim_to_core(g)
 
 
+def _plain_bouquet(gens, alphabet=None):
+    """The textbook bouquet: one subdivided loop per nonidentity generator,
+    wedged at the basepoint 0, with no reading along darts already laid."""
+    gens = list(gens)
+    alphabet = alphabet or gens[0].alphabet
+    edges: dict = {}
+    next_vertex = 1
+    for w in gens:
+        prev = 0
+        for i, letter in enumerate(w.letters):
+            here = 0 if i == len(w.letters) - 1 else next_vertex
+            if here != 0:
+                next_vertex += 1
+            label = abs(letter) - 1
+            edges[len(edges)] = (label, prev, here) if letter > 0 else (label, here, prev)
+            prev = here
+    return LabeledGraph(alphabet.rank, range(next_vertex), edges, basepoint=0)
+
+
 # -- construction -------------------------------------------------------------------
 
 
@@ -70,6 +89,64 @@ def test_bouquet_of_length_two_word():
 def test_bouquet_drops_identity_words():
     g = bouquet_of([RANK2.identity()], RANK2)
     assert (g.vertex_count, g.edge_count) == (1, 0)
+
+
+def test_bouquet_rejects_mismatched_alphabets():
+    with pytest.raises(ValueError, match="mismatched alphabets"):
+        bouquet_of([RANK2.word("a"), Alphabet(3).word("c")])
+
+
+def test_bouquet_reads_the_darts_already_laid():
+    # "a" is read along the a-loop, so only the b-loop is laid
+    g = bouquet_of([RANK2.word("ab"), RANK2.word("a")])
+    assert (g.vertex_count, g.edge_count) == (1, 2)
+    assert g.is_properly_labeled()
+    # b c B with c = aB: the stem b and the tail B of c read along the b-loop
+    g = bouquet_of([RANK2.word("baBB"), RANK2.word("b")])
+    assert (g.vertex_count, g.edge_count) == (1, 2)
+    assert g.is_properly_labeled()
+
+
+def test_bouquet_lays_a_conjugate_as_stem_and_loop():
+    g = bouquet_of([RANK2.word("abbA")])
+    assert (g.vertex_count, g.edge_count) == (3, 3)
+    assert g.is_properly_labeled()
+    assert g.valence(g.basepoint) == 1
+
+
+def test_bouquet_lays_an_edge_for_a_generator_it_can_read():
+    # a generator is never read whole: its last edge clashes, and the fold
+    # identifies it
+    g = bouquet_of([RANK2.word("a"), RANK2.word("a")])
+    assert (g.vertex_count, g.edge_count) == (1, 2)
+    assert not g.is_properly_labeled()
+
+
+@st.composite
+def _generator_lists(draw):
+    """An alphabet of rank 1-3 and generators over it: random words (so
+    cyclically unreduced ones and identities), repeats, products and
+    conjugates of earlier ones, in any order."""
+    alphabet = Alphabet(draw(st.integers(1, 3)))
+    letters = st.sampled_from([sign * (i + 1) for i in range(alphabet.rank) for sign in (1, -1)])
+    words = [
+        Word(alphabet, ls)
+        for ls in draw(st.lists(st.lists(letters, max_size=9), min_size=1, max_size=4))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.sampled_from(words)), draw(st.sampled_from(words))
+        words.append(draw(st.sampled_from([u, u * v, v.conj(u), u * u * ~v])))
+    return alphabet, draw(st.permutations(words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists())
+def test_bouquet_folds_like_the_plain_bouquet(case):
+    alphabet, gens = case
+    folded = fold_to_immersion(bouquet_of(gens, alphabet)).graph
+    reference = fold_to_immersion(_plain_bouquet(gens, alphabet)).graph
+    assert folded.isomorphic(reference)
+    assert trim_to_core(folded).canonical().graph == trim_to_core(reference).canonical().graph
 
 
 # -- folding ------------------------------------------------------------------------
@@ -166,9 +243,10 @@ def _random_core(rng, rank):
 
 
 def _fold_input(kind, seed, rank):
-    """A graph with clashes of the kind the package folds: a bouquet of
-    random words, the same hung from a stem edge (so that its clashes sit
-    away from the basepoint), a wedge of two cores, or a pushout quotient."""
+    """A graph with clashes of the kind the package folds: a plain bouquet
+    of random words (clash-richer than ``bouquet_of``'s), the same hung from
+    a stem edge (so that its clashes sit away from the basepoint), a wedge
+    of two cores, or a pushout quotient."""
     from stallings import based_meet_core, double_cosets, topological_pushout
     from stallings.verify import _random_reduced_word
 
@@ -178,7 +256,7 @@ def _fold_input(kind, seed, rank):
             _random_reduced_word(rng, rng.randint(1, 8), Alphabet(rank))
             for _ in range(rng.randint(1, 4))
         ]
-        g = bouquet_of(words, Alphabet(rank))
+        g = _plain_bouquet(words, Alphabet(rank))
         if kind == "bouquet":
             return g
         edges = {e: (label, src, dst) for e, label, src, dst in g.edges()}
@@ -367,12 +445,12 @@ def test_trace_concatenation_composes(letters):
 
 
 def test_bouquet_of_distinct_words_may_be_improper():
-    g = bouquet_of([RANK2.word("a"), RANK2.word("ab")])
+    g = _plain_bouquet([RANK2.word("a"), RANK2.word("ab")])
     assert not g.is_properly_labeled()
 
 
 def test_improper_graph_rejects_dart_queries():
-    g = bouquet_of([RANK2.word("a"), RANK2.word("ab")])
+    g = _plain_bouquet([RANK2.word("a"), RANK2.word("ab")])
     with pytest.raises(ImproperLabelingError):
         g.dart_edge(g.basepoint, 0, OUT)
 
@@ -390,8 +468,9 @@ def _has_duplicate_darts(g):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6), max_size=4))
 def test_properness_agrees_with_a_per_vertex_scan(gens):
-    g = bouquet_of([Word(RANK2, letters) for letters in gens], RANK2)
-    assert g.is_properly_labeled() == (not _has_duplicate_darts(g))
+    words = [Word(RANK2, letters) for letters in gens]
+    for g in (_plain_bouquet(words, RANK2), bouquet_of(words, RANK2)):
+        assert g.is_properly_labeled() == (not _has_duplicate_darts(g))
 
 
 @settings(max_examples=40, deadline=None)

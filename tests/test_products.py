@@ -228,13 +228,13 @@ def test_join_contains_both_factors():
 def test_join_canonicalizes_its_core_once(monkeypatch):
     H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
     calls = []
-    real = LabeledGraph.canonical
+    real = LabeledGraph._renumbered  # every canonical form is built here
 
-    def counting(self, *, based=True):
+    def counting(self, vertex_map, *, based):
         calls.append(self)
-        return real(self, based=based)
+        return real(self, vertex_map, based=based)
 
-    monkeypatch.setattr(LabeledGraph, "canonical", counting)
+    monkeypatch.setattr(LabeledGraph, "_renumbered", counting)
     J = join(H, K)
     assert len(calls) == 1
     assert calls[0].vertex_count == J.graph.vertex_count
@@ -335,6 +335,54 @@ def test_pushout_chi_never_exceeds_join_chi(seed):
     K = random_subgroup(rng, rng.randint(1, 3), 6)
     po = topological_pushout(H, K, [based_meet_core(H, K)])
     assert po.chi <= join(H, K).graph.chi
+
+
+def _sorted_class_numbering(H, K, cores):
+    """Pushout numbering by rank in the sorted list of sorted classes:
+    (vertex_class, edge_class, quotient edges)."""
+    from stallings.graphs import DisjointSet
+
+    vparts, eparts = DisjointSet(), DisjointSet()
+    graphs = {LEFT: H.graph, RIGHT: K.graph}
+    for side, graph in graphs.items():
+        for v in graph.vertices:
+            vparts.add((side, v))
+        for e, *_ in graph.edges():
+            eparts.add((side, e))
+    for core in cores:
+        for vH, vK in core.vertices:
+            vparts.union((LEFT, vH), (RIGHT, vK))
+        for (eH, eK), *_ in core.edges():
+            eparts.union((LEFT, eH), (RIGHT, eK))
+    vertex_class = {
+        tagged: index
+        for index, members in enumerate(sorted(vparts.classes()))
+        for tagged in members
+    }
+    edge_class, quotient_edges = {}, {}
+    for index, members in enumerate(sorted(eparts.classes())):
+        records = set()
+        for side, e in members:
+            edge_class[side, e] = index
+            label, src, dst = graphs[side].edge(e)
+            records.add((label, vertex_class[side, src], vertex_class[side, dst]))
+        (quotient_edges[index],) = records
+    return vertex_class, edge_class, quotient_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_pushout_numbering_matches_sorted_classes(seed, rank):
+    rng = random.Random(seed)
+    H = random_subgroup(rng, rng.randint(1, 3), 6, Alphabet(rank))
+    K = random_subgroup(rng, rng.randint(1, 3), 6, Alphabet(rank))
+    for cores in ([based_meet_core(H, K)], [entry.core for entry in double_cosets(H, K).entries]):
+        po = topological_pushout(H, K, cores)
+        vertex_class, edge_class, quotient_edges = _sorted_class_numbering(H, K, cores)
+        assert po.vertex_class == vertex_class
+        assert po.edge_class == edge_class
+        assert {e: (label, src, dst) for e, label, src, dst in po.graph.edges()} == quotient_edges
+        assert po.graph.vertices == tuple(range(len(set(vertex_class.values()))))
 
 
 # -- double cosets ------------------------------------------------------------------

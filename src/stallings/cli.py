@@ -16,15 +16,16 @@ import os
 import sys
 
 from .core import Subgroup, TrivialIntersectionError, subgroup_from_spec, subgroup_graph
-from .matrices import (
-    NotNormalizedError,
-    bipartite_delta,
-    entry_sum_bound,
-    incidence_matrix,
-    normal_form,
-)
+from .matrices import NotNormalizedError
 from .products import based_meet_core, intersection, join, topological_pushout
-from .verify import FuzzConfig, check_instance, corpus, fuzz, normalize_pair
+from .verify import (
+    FuzzConfig,
+    _normalize_with_meet,
+    check_instance,
+    corpus,
+    fuzz,
+    matrix_pipeline,
+)
 from .words import Alphabet, WordSyntaxError
 
 
@@ -264,21 +265,15 @@ def _cmd_matrix(args, stdout, stderr) -> int:
     _require_same_alphabet(H, K)
     if args.normalize:
         try:
-            H, K = normalize_pair(H, K)
-        except TrivialIntersectionError as exc:
+            H, K, meet_core = _normalize_with_meet(H, K)
+        except ValueError as exc:  # a trivial meet, or an alphabet not of rank 2
             raise CliError(str(exc))
-    meet_core = based_meet_core(H, K)
+    else:
+        meet_core = based_meet_core(H, K)
     try:
-        M = incidence_matrix(H, K, meet_core)
+        _, M, nf, delta, bound = matrix_pipeline(H, K, meet_core)
     except NotNormalizedError as exc:
         raise CliError(f"{exc} (rerun with --normalize)")
-    po = topological_pushout(H, K, [meet_core])
-    nf = normal_form(M, po)
-    delta = bipartite_delta(M, nf)
-    h, k = H.rank, K.rank
-    bound = None
-    if nf.ell >= 1 and 2 * h - 2 > nf.p + nf.ell - 1 and 2 * k - 2 > nf.q + nf.ell - 1:
-        bound = entry_sum_bound(h, k, nf.ell, nf.p, nf.q)
     data = {
         "shape": list(M.shape),
         "entry_sum": M.entry_sum,

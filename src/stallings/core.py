@@ -51,9 +51,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.rank == 0
 
-    def contains(self, w: Word) -> bool:
-        return membership(self, w)
-
     def basis(self) -> list[Word]:
         return basis(self)
 
@@ -135,11 +132,12 @@ def subgroup_from_spec(data: dict) -> Subgroup:
     """Inverse of :meth:`Subgroup.spec_dict`: rebuild from the JSON form."""
     rank = data.get("alphabet_rank", 2)
     gens = data.get("generators")
-    if not isinstance(rank, int) or rank < 1:
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise ValueError("alphabet_rank must be a positive integer")
-    if gens is None or not isinstance(gens, list):
-        raise ValueError("generators must be a list of words")
-    return subgroup_graph([str(g) for g in gens], Alphabet(rank))
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise ValueError("generators must be a list of word strings")
+    return subgroup_graph(gens, Alphabet(rank))
 
 
 def membership(H: Subgroup, w: Word) -> bool:

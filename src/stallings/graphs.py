@@ -201,12 +201,6 @@ class LabeledGraph:
         for eid, (label, src, dst) in self._edge.items():
             yield eid, label, src, dst
 
-    def out_edges(self, v: Hashable) -> tuple:
-        return tuple(self._out[v])
-
-    def in_edges(self, v: Hashable) -> tuple:
-        return tuple(self._in[v])
-
     def valence(self, v: Hashable) -> int:
         # a loop contributes once as outgoing and once as incoming
         return len(self._out[v]) + len(self._in[v])

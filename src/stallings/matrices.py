@@ -139,10 +139,6 @@ class NormalForm:
     def entry_sum(self) -> int:
         return sum(sum(row) for row in self.matrix)
 
-    @property
-    def class_count_matches(self) -> bool:
-        return self.ell + self.p + self.q == self.star_class_count
-
     def render(self) -> str:
         rows, cols = len(self.row_perm), len(self.col_perm)
         if not rows or not cols:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product as cartesian
 from typing import Iterable
 
 from .core import Subgroup, _from_core_form
@@ -33,43 +32,7 @@ LEFT = 0
 RIGHT = 1
 
 
-# -- fiber product -------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class FiberProduct:
-    """The full vertex-pair product, isolated vertices included."""
-
-    left: Subgroup
-    right: Subgroup
-    graph: LabeledGraph
-
-    @property
-    def basepoint(self) -> tuple:
-        return self.graph.basepoint
-
-
-def _paired_edges(gH: LabeledGraph, gK: LabeledGraph):
-    """Every (left edge, right edge) pair sharing a label, as product edges."""
-    by_label_K: dict[int, list] = defaultdict(list)
-    for eid, label, src, dst in gK.edges():
-        by_label_K[label].append((eid, src, dst))
-    for eidH, label, srcH, dstH in gH.edges():
-        for eidK, srcK, dstK in by_label_K[label]:
-            yield (eidH, eidK), (label, (srcH, srcK), (dstH, dstK))
-
-
-def fiber_product(H: Subgroup, K: Subgroup) -> FiberProduct:
-    """Materialize the whole product of the two cores."""
-    if H.alphabet != K.alphabet:
-        raise ValueError("alphabet mismatch")
-    gH, gK = H.graph, K.graph
-    vertices = list(cartesian(gH.vertices, gK.vertices))
-    edges = dict(_paired_edges(gH, gK))
-    graph = LabeledGraph(
-        gH.rank, vertices, edges, basepoint=(gH.basepoint, gK.basepoint)
-    )
-    return FiberProduct(H, K, graph)
+# -- meet -----------------------------------------------------------------------
 
 
 def based_meet_core(H: Subgroup, K: Subgroup) -> LabeledGraph:
@@ -418,8 +381,3 @@ def double_cosets(H: Subgroup, K: Subgroup) -> DoubleCosetDecomposition:
         entries.append(DoubleCosetEntry(core, rank, based=base in members))
     entries.sort(key=lambda entry: (not entry.based, -entry.rank))
     return DoubleCosetDecomposition(tuple(entries))
-
-
-def isolated_vertex_scan(fp: FiberProduct) -> list:
-    """Product vertices with no incident edge at all."""
-    return [v for v in fp.graph.vertices if fp.graph.valence(v) == 0]

@@ -34,9 +34,7 @@ from .products import (
     RIGHT,
     based_meet_core,
     double_cosets,
-    fiber_product,
     intersection,
-    isolated_vertex_scan,
     join,
     join_with_maps,
     topological_pushout,
@@ -123,6 +121,13 @@ RAW_VERDICTS = (
 VERDICT_NAMES = RAW_VERDICTS + STRUCTURAL_VERDICTS
 
 
+def _entry_sum_ceiling(h: int, k: int, ell: int, p: int, q: int) -> int | None:
+    """:func:`entry_sum_bound` where its hypotheses hold, else None."""
+    if ell >= 1 and 2 * h - 2 > p + ell - 1 and 2 * k - 2 > q + ell - 1:
+        return entry_sum_bound(h, k, ell, p, q)
+    return None
+
+
 def derive_verdicts(report) -> dict[str, Verdict]:
     """Recompute every verdict from the numeric fields of a report.
 
@@ -172,10 +177,9 @@ def derive_verdicts(report) -> dict[str, Verdict]:
     v["euler_star_bound"] = _within(-2 * report.chi_T_norm, stars)
     v["normal_form_blocks"] = _holds(report.normal_form_violation_count == 0)
     v["class_count_identity"] = _equals(ell + p + q, stars)
-    if ell >= 1 and 2 * h - 2 > p + ell - 1 and 2 * k - 2 > q + ell - 1:
-        v["entry_sum_within_bound"] = _within(
-            report.entry_sum, entry_sum_bound(h, k, ell, p, q)
-        )
+    ceiling = _entry_sum_ceiling(h, k, ell, p, q)
+    if ceiling is not None:
+        v["entry_sum_within_bound"] = _within(report.entry_sum, ceiling)
     else:
         v["entry_sum_within_bound"] = _NA
     if p == 0 and q == 0 and stars > 0:
@@ -334,6 +338,20 @@ def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, 
     return Hn, Kn, based_meet_core(Hn, Kn)
 
 
+def matrix_pipeline(H: Subgroup, K: Subgroup, meet_core: LabeledGraph) -> tuple:
+    """The pushout along ``meet_core``, the incidence matrix, its normal form,
+    its pairing graph and the entry-sum bound (None where it does not apply).
+
+    Raises :class:`~stallings.matrices.NotNormalizedError` unless both cores
+    are normalized.
+    """
+    M = incidence_matrix(H, K, meet_core)
+    po = topological_pushout(H, K, [meet_core])
+    nf = normal_form(M, po)
+    bound = _entry_sum_ceiling(H.rank, K.rank, nf.ell, nf.p, nf.q)
+    return po, M, nf, bipartite_delta(M, nf), bound
+
+
 def _require(holds: bool, invariant: str) -> None:
     """Raise when the normalized pipeline breaks an invariant it relies on
     (an explicit check, so that ``python -O`` keeps it)."""
@@ -355,12 +373,8 @@ def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
     join_sub = join(Hn, Kn)
     _require(join_sub.rank == raw["rank_join"], "the join rank is preserved")
 
-    po = topological_pushout(Hn, Kn, [meet_core])
+    po, _, nf, delta, _ = matrix_pipeline(Hn, Kn, meet_core)
     _require(not po.loop_quotient_edges(), "no pushout edge closes into a loop")
-    stars = po.star_classes()
-    M = incidence_matrix(Hn, Kn, meet_core)
-    nf = normal_form(M, po)
-    delta = bipartite_delta(M, nf)
     cosets = double_cosets(Hn, Kn)
     multi = topological_pushout(Hn, Kn, [entry.core for entry in cosets.entries])
     return {
@@ -368,7 +382,7 @@ def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
         "ell": nf.ell,
         "p": nf.p,
         "q": nf.q,
-        "star_class_count": stars.count,
+        "star_class_count": nf.star_class_count,
         "entry_sum": nf.entry_sum,
         "chi_T_norm": po.chi,
         "chi_join_norm": join_sub.graph.chi,
@@ -767,14 +781,15 @@ def check_squares_construction() -> dict:
     meet_core = based_meet_core(H, K)
     po = topological_pushout(H, K, [meet_core])
 
-    fp = fiber_product(H, K)
     a_center = {(0, OUT), (0, IN)}
     b_center = {(1, OUT), (1, IN)}
+    # such a pair shares no dart kind, so it is an isolated product vertex
     candidates = sorted(
         (x, y)
-        for x, y in isolated_vertex_scan(fp)
+        for x in H.graph.vertices
         if set(H.graph.vertex_type(x).darts) == a_center
-        and set(K.graph.vertex_type(y).darts) == b_center
+        for y in K.graph.vertices
+        if set(K.graph.vertex_type(y).darts) == b_center
     )
 
     detail: dict = {

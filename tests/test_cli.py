@@ -136,6 +136,20 @@ def test_word_error_inside_spec_is_prefixed():
     assert "SPEC_H" in err and "position 1" in err
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ('{"alphabet_rank": true, "generators": ["a"]}', "alphabet_rank"),
+        ('{"generators": [1]}', "generators"),
+        ('{"alphabet_rank": 26, "generators": [true]}', "generators"),
+    ],
+)
+def test_malformed_spec_fields_are_named(spec, field):
+    code, out, err = invoke("check", spec, SMALL_K)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: SPEC_H: {field}")
+
+
 def test_non_object_spec_rejected(tmp_path):
     listing = tmp_path / "list.json"
     listing.write_text('["a"]')
@@ -202,6 +216,39 @@ def test_matrix_trivial_meet_is_an_input_error():
         "matrix", SMALL_H, '{"generators": ["b", "aBabA"]}', "--normalize"
     )
     assert code == 1 and "intersection" in err
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ('{"alphabet_rank": 3, "generators": ["a", "bc"]}',
+         '{"alphabet_rank": 3, "generators": ["ac", "b"]}'),
+        ('{"alphabet_rank": 1, "generators": ["a"]}',
+         '{"alphabet_rank": 1, "generators": ["aa"]}'),
+    ],
+)
+def test_matrix_normalize_off_rank_two_is_an_input_error(left, right):
+    code, out, err = invoke("matrix", left, right, "--normalize")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "rank-2" in err
+
+
+def test_matrix_normalize_walks_the_normalized_meet_once(monkeypatch):
+    """self_join needs no conjugation, so the product component walked to
+    test the meet for triviality is the normalized pair's meet as well."""
+    from stallings import core, graphs, products, verify
+
+    walked = []
+
+    def counting(g1, g2):
+        walked.append((g1, g2))
+        return graphs.based_product(g1, g2)
+
+    for module in (core, products, verify):
+        monkeypatch.setattr(module, "based_product", counting)
+    code, _, _ = invoke("matrix", SMALL_H, SMALL_H, "--normalize")
+    assert code == 0
+    assert len(walked) == 1
 
 
 # -- check ---------------------------------------------------------------------------

@@ -70,6 +70,12 @@ GOLDEN = {
         "235a051fb37f25b06a08388939540af7551326ae2cd0a2ce279bd36e4cdd9fb9",
     ("matrix", *SELF, "--normalize", "--json"):
         "4110e19c462e1cc56a23ebda3905e6467b9f46db085a4e7b8baae0aa0f5846c7",
+    ("matrix", *GAP, "--normalize"):
+        "5835d725c5bc1ea671c1d530e6760071e16e47e969d3ff2362cd88d3ff0aa039",
+    ("matrix", *CYCLIC, "--normalize"):
+        "fdeb5f1592455f2867417f04eba874e7aa8b36ee16a22248251b94e5fa215e5b",
+    ("matrix", *SELF, "--normalize"):
+        "40e6a89485ed5cafb00ee551d8acbae73ea5a44cd03b7665a2020d8551d10383",
     ("check", *GAP, "--json"):
         "bc1ae5daefa6b035ae363c50b6548bfd3d4e029e847d8bc0d701e64de9690e08",
 }
@@ -87,6 +93,22 @@ def test_output_bytes_are_pinned(argv):
     out, err = io.StringIO(), io.StringIO()
     assert run(list(argv), stdout=out, stderr=err) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
+
+
+#: Input errors: exit code 1, nothing on stdout, and exactly this stderr.
+ERRORS = {
+    ("matrix", _spec("a", "b"), _spec("b", "aa")):
+        "error: left core has a vertex of valence 4 > 3 (rerun with --normalize)\n",
+    ("matrix", _spec("a", "bab"), _spec("b", "aBabA"), "--normalize"):
+        "error: basepoint normalization needs a nontrivial intersection\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(ERRORS), ids=_label)
+def test_error_bytes_are_pinned(argv):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(list(argv), stdout=out, stderr=err) == 1
+    assert (out.getvalue(), err.getvalue()) == ("", ERRORS[argv])
 
 
 def test_corpus_bytes_survive_python_dash_o():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stallings import (
+    IN,
+    OUT,
     Alphabet,
     LEFT,
     RIGHT,
@@ -14,18 +16,19 @@ from stallings import (
     RANK2,
     Word,
     based_meet_core,
+    check_squares_construction,
     double_cosets,
     embed_into_rank2,
-    fiber_product,
     intersection,
-    isolated_vertex_scan,
     join,
     join_with_maps,
+    membership,
     subgroup_graph,
     topological_pushout,
     trim_to_core,
 )
-from stallings.verify import random_subgroup
+from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, random_subgroup
+from stallings.words import generator_squares
 
 from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make
 
@@ -35,40 +38,36 @@ def embedded(*texts, rank=3):
     return subgroup_graph([embed_into_rank2(A.word(t)) for t in texts], RANK2)
 
 
-# -- fiber product ------------------------------------------------------------------
+# -- fiber product: its based component ---------------------------------------------
 
 
 def test_fiber_product_of_disjoint_loops():
-    fp = fiber_product(make("a"), make("b"))
-    assert (fp.graph.vertex_count, fp.graph.edge_count) == (1, 0)
-    assert fp.basepoint == (fp.left.graph.basepoint, fp.right.graph.basepoint)
+    H, K = make("a"), make("b")
+    core = based_meet_core(H, K)
+    assert (core.vertex_count, core.edge_count) == (1, 0)
+    assert core.basepoint == (H.graph.basepoint, K.graph.basepoint)
 
 
 def test_fiber_product_of_roses():
     F = make("a", "b")
-    fp = fiber_product(F, F)
-    assert (fp.graph.vertex_count, fp.graph.edge_count) == (1, 2)
-
-
-def test_fiber_product_vertex_count_multiplies():
-    H, K = make("a", "bab"), make(*FIGURE_RIGHT)
-    fp = fiber_product(H, K)
-    assert fp.graph.vertex_count == H.graph.vertex_count * K.graph.vertex_count
+    core = based_meet_core(F, F)
+    assert (core.vertex_count, core.edge_count) == (1, 2)
 
 
 def test_fiber_product_rejects_alphabet_mismatch():
-    with pytest.raises(ValueError):
-        fiber_product(make("a"), subgroup_graph(["a"], Alphabet(3)))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        based_meet_core(make("a"), subgroup_graph(["a"], Alphabet(3)))
 
 
 def test_fiber_product_projections_preserve_labels():
     H, K = make("a", "bab"), make("b", "aa")
-    fp = fiber_product(H, K)
-    for eid, label, src, dst in fp.graph.edges():
-        lh = H.graph.edge(eid[0])
-        lk = K.graph.edge(eid[1])
-        assert lh[0] == lk[0] == label
-        assert (lh[1], lk[1]) == src and (lh[2], lk[2]) == dst
+    cores = [based_meet_core(H, K)] + [e.core for e in double_cosets(H, K).entries]
+    for core in cores:
+        for eid, label, src, dst in core.edges():
+            lh = H.graph.edge(eid[0])
+            lk = K.graph.edge(eid[1])
+            assert lh[0] == lk[0] == label
+            assert (lh[1], lk[1]) == src and (lh[2], lk[2]) == dst
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,15 +76,15 @@ def test_fiber_product_projections_preserve_labels():
     st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8),
 )
 def test_fiber_product_lifts_common_loops(seed, letters):
-    """A word closing up in both cores closes up in the product."""
+    """A word closing up in both cores closes up at the product basepoint."""
     rng = random.Random(seed)
     H = random_subgroup(rng, rng.randint(1, 3), 6)
     K = random_subgroup(rng, rng.randint(1, 3), 6)
     w = Word(RANK2, letters)
-    fp = fiber_product(H, K)
-    lifted = fp.graph.trace(fp.basepoint, w)
-    in_both = H.contains(w) and K.contains(w)
-    assert in_both == (lifted.ok and lifted.vertex == fp.basepoint)
+    core = based_meet_core(H, K)
+    lifted = core.trace(core.basepoint, w)
+    in_both = membership(H, w) and membership(K, w)
+    assert in_both == (lifted.ok and lifted.vertex == core.basepoint)
 
 
 def test_based_meet_core_of_figure_pair_is_a_cycle():
@@ -125,7 +124,7 @@ def test_intersection_is_symmetric_and_contained():
     M = intersection(H, K)
     assert M == intersection(K, H)
     for w in M.basis():
-        assert H.contains(w) and K.contains(w)
+        assert membership(H, w) and membership(K, w)
 
 
 def test_figure_intersection_is_the_known_loop():
@@ -144,9 +143,9 @@ def test_intersection_membership_agrees_with_factors(seed):
     K = random_subgroup(rng, rng.randint(1, 3), 6)
     M = intersection(H, K)
     for w in M.basis():
-        assert H.contains(w) and K.contains(w)
+        assert membership(H, w) and membership(K, w)
     for w in H.basis():
-        assert M.contains(w) == K.contains(w)
+        assert membership(M, w) == membership(K, w)
 
 
 def _reduced_words(max_len):
@@ -180,18 +179,18 @@ def test_meet_and_join_membership_match_brute_force(H, K):
     tracing it in the factor cores alone; the product walker is not used."""
     M, J = intersection(H, K), join(H, K)
     for w in WORDS_UP_TO_6:
-        in_H, in_K = H.contains(w), K.contains(w)
-        assert M.contains(w) == (in_H and in_K), str(w)
+        in_H, in_K = membership(H, w), membership(K, w)
+        assert membership(M, w) == (in_H and in_K), str(w)
         if in_H or in_K:
-            assert J.contains(w), str(w)
+            assert membership(J, w), str(w)
     for g in H.generators + K.generators:
-        assert J.contains(g)
+        assert membership(J, g)
 
 
 def test_brute_force_oracle_sees_nontrivial_meets():
     """The oracle pairs are not all vacuous: several meets hold short words."""
     counts = [
-        sum(H.contains(w) and K.contains(w) for w in WORDS_UP_TO_6[1:])
+        sum(membership(H, w) and membership(K, w) for w in WORDS_UP_TO_6[1:])
         for H, K in _oracle_pairs()
     ]
     assert sum(1 for c in counts if c) >= 5
@@ -222,7 +221,7 @@ def test_join_contains_both_factors():
     J = join(H, K)
     assert J.rank == 2
     for w in H.basis() + K.basis():
-        assert J.contains(w)
+        assert membership(J, w)
 
 
 def test_join_canonicalizes_its_core_once(monkeypatch):
@@ -441,17 +440,30 @@ def test_double_cosets_rejects_alphabet_mismatch():
         double_cosets(make("a"), subgroup_graph(["a"], Alphabet(3)))
 
 
+def _dense_product(H, K):
+    """Every vertex pair and every label-matched edge pair of the two cores."""
+    gH, gK = H.graph, K.graph
+    edges = {
+        (eH, eK): (label, (sH, sK), (dH, dK))
+        for eH, label, sH, dH in gH.edges()
+        for eK, label_K, sK, dK in gK.edges()
+        if label == label_K
+    }
+    vertices = [(x, y) for x in gH.vertices for y in gK.vertices]
+    return LabeledGraph(gH.rank, vertices, edges, basepoint=(gH.basepoint, gK.basepoint))
+
+
 def _dense_decomposition(H, K):
     """(rank, based, vertices, edges) per positive-rank component of the full product."""
-    fp = fiber_product(H, K)
+    product = _dense_product(H, K)
     out = []
-    for comp in fp.graph.components():
-        piece = fp.graph.subgraph(set(comp))
+    for comp in product.components():
+        piece = product.subgraph(set(comp))
         rank = piece.edge_count - piece.vertex_count + 1
         if rank >= 1:
             core = trim_to_core(piece, keep_basepoint=False)
             edges = frozenset(e for e, *_ in core.edges())
-            out.append((rank, fp.basepoint in comp, frozenset(core.vertices), edges))
+            out.append((rank, product.basepoint in comp, frozenset(core.vertices), edges))
     out.sort(key=lambda item: (not item[1], -item[0]))
     return out
 
@@ -491,11 +503,18 @@ def test_double_cosets_match_the_dense_product(seed, kind):
 # -- isolated vertices --------------------------------------------------------------
 
 
-def test_isolated_vertex_scan_finds_the_lonely_pair():
-    fp = fiber_product(make("a"), make("b"))
-    assert isolated_vertex_scan(fp) == [fp.basepoint]
-
-
-def test_isolated_vertex_scan_on_roses_is_empty():
-    F = make("a", "b")
-    assert isolated_vertex_scan(fiber_product(F, F)) == []
+def test_squares_candidates_are_isolated_in_the_dense_product():
+    """The letter-squaring fixture reads its candidates off the two vertex
+    lists; each is an isolated vertex of the full product."""
+    H = subgroup_graph([generator_squares(RANK2.word(t)) for t in SQUARES_LEFT], RANK2)
+    K = subgroup_graph([generator_squares(RANK2.word(t)) for t in SQUARES_RIGHT], RANK2)
+    product = _dense_product(H, K)
+    a_center, b_center = {(0, OUT), (0, IN)}, {(1, OUT), (1, IN)}
+    isolated = [
+        (x, y)
+        for x, y in product.vertices
+        if product.valence((x, y)) == 0
+        and set(H.graph.vertex_type(x).darts) == a_center
+        and set(K.graph.vertex_type(y).darts) == b_center
+    ]
+    assert len(isolated) == check_squares_construction()["isolated_candidates"] == 4

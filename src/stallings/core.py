@@ -130,6 +130,9 @@ def subgroup_graph(gens: Iterable[Word | str], alphabet: Alphabet | None = None)
 
 def subgroup_from_spec(data: dict) -> Subgroup:
     """Inverse of :meth:`Subgroup.spec_dict`: rebuild from the JSON form."""
+    for key in data:
+        if key not in ("alphabet_rank", "generators"):
+            raise ValueError(f"unknown spec key {key!r} (expected alphabet_rank, generators)")
     rank = data.get("alphabet_rank", 2)
     gens = data.get("generators")
     # JSON true/false load as bool, a subclass of int

@@ -573,27 +573,6 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
     return LabeledGraph(alphabet.rank, range(next_vertex), edges, basepoint=0)
 
 
-def wedge(g1: LabeledGraph, g2: LabeledGraph) -> tuple[LabeledGraph, dict, dict]:
-    """Glue two based graphs at their basepoints.
-
-    Returns the wedge plus vertex maps from each factor into it.
-    """
-    if g1.basepoint is None or g2.basepoint is None:
-        raise ValueError("wedge requires basepoints on both factors")
-    if g1.rank != g2.rank:
-        raise ValueError("rank mismatch in wedge")
-    map1 = {v: (0, v) for v in g1.vertices}
-    map2 = {v: ((0, g1.basepoint) if v == g2.basepoint else (1, v)) for v in g2.vertices}
-    vertices = list(map1.values()) + [map2[v] for v in g2.vertices if v != g2.basepoint]
-    edges = {}
-    for eid, label, src, dst in g1.edges():
-        edges[(0, eid)] = (label, map1[src], map1[dst])
-    for eid, label, src, dst in g2.edges():
-        edges[(1, eid)] = (label, map2[src], map2[dst])
-    graph = LabeledGraph(g1.rank, vertices, edges, basepoint=(0, g1.basepoint))
-    return graph, map1, map2
-
-
 def based_product(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """The component of the basepoint pair in the product of two graphs.
 

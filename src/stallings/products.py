@@ -20,12 +20,13 @@ from typing import Iterable
 
 from .core import Subgroup, _from_core_form
 from .graphs import (
+    IN,
+    OUT,
     DisjointSet,
     LabeledGraph,
     based_product,
     fold_to_immersion,
     trim_to_core,
-    wedge,
 )
 
 LEFT = 0
@@ -59,18 +60,61 @@ class JoinResult:
 
 
 def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
-    """Wedge the cores at their basepoints, fold, trim, canonicalize."""
+    """Read K's core into H's, fold, trim, canonicalize.
+
+    K's core is walked from its basepoint in dart order, placing each of its
+    vertices on a vertex of the growing graph, which starts as H's core.
+    Each K edge is read, once, from the image of its near end: along H's
+    darts, then along the darts laid so far.  An edge is laid only where
+    that reading fails or reaches a vertex other than the far end's image,
+    and a vertex only where the far end is not placed yet.  Every reading
+    identifies two equally labeled darts at one vertex, so the graph read is
+    a fold-quotient of the two cores wedged at their basepoints and folds to
+    the same core, with only the clashes reading could not resolve.
+    """
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
-    wedged, mapH, mapK = wedge(H.graph, K.graph)
-    folded = fold_to_immersion(wedged)
+    gH, gK = H.graph, K.graph
+    dart, edge = gH._dart, gH._edge
+    # subgroup cores are canonically numbered 0..n-1, so laid ids follow H's
+    edges = dict(edge)
+    next_vertex = gH.vertex_count
+    laid: dict = {}  # (vertex, signed letter) -> far end of the first dart laid there
+    place = {gK.basepoint: gH.basepoint}  # K vertex -> vertex of the graph read
+    order = [gK.basepoint]
+    done: set = set()  # K edges read
+    for v in order:  # order grows while it is walked
+        x = place[v]
+        for letter, e, w in gK.darts(v):
+            if e in done:
+                continue
+            done.add(e)
+            label = abs(letter) - 1
+            held = dart.get((x, label, OUT if letter > 0 else IN))
+            y = laid.get((x, letter)) if held is None else edge[held][2 if letter > 0 else 1]
+            z = place.get(w)
+            if z is None:
+                order.append(w)
+                if y is not None:
+                    place[w] = y
+                    continue
+                z = place[w] = next_vertex
+                next_vertex += 1
+            elif z == y:
+                continue
+            edges[len(edges)] = (label, x, z) if letter > 0 else (label, z, x)
+            laid.setdefault((x, letter), z)
+            laid.setdefault((z, -letter), x)
+    read = LabeledGraph(gH.rank, range(next_vertex), edges, basepoint=gH.basepoint)
+    folded = fold_to_immersion(read)
     core = trim_to_core(folded.graph)
     sub, canon = _from_core_form(core, H.alphabet, H.generators + K.generators)
-
-    def compose(pre: dict) -> dict:
-        return {v: canon.vertex_map.get(folded.vertex_map[tagged]) for v, tagged in pre.items()}
-
-    return JoinResult(sub, compose(mapH), compose(mapK))
+    image, fold = canon.vertex_map.get, folded.vertex_map
+    return JoinResult(
+        sub,
+        {v: image(fold[v]) for v in gH.vertices},
+        {v: image(fold[place[v]]) for v in gK.vertices},
+    )
 
 
 def join(H: Subgroup, K: Subgroup) -> Subgroup:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stallings import RANK2, subgroup_graph
+from stallings import RANK2, LabeledGraph, subgroup_graph
 
 
 # The hand-checked pair whose meet core wraps once around a long loop while
@@ -17,6 +17,26 @@ FIGURE_MEET_WORD = "abbAABBBBaba"
 def make(*texts):
     """Rank-2 subgroup from word texts."""
     return subgroup_graph([RANK2.word(t) for t in texts], RANK2)
+
+
+def wedge(g1, g2):
+    """Glue two based graphs at their basepoints, with vertex maps from each
+    factor into the wedge: the textbook first step of a join, kept as an
+    oracle for the join, which reads one core into the other instead."""
+    if g1.basepoint is None or g2.basepoint is None:
+        raise ValueError("wedge requires basepoints on both factors")
+    if g1.rank != g2.rank:
+        raise ValueError("rank mismatch in wedge")
+    map1 = {v: (0, v) for v in g1.vertices}
+    map2 = {v: ((0, g1.basepoint) if v == g2.basepoint else (1, v)) for v in g2.vertices}
+    vertices = list(map1.values()) + [map2[v] for v in g2.vertices if v != g2.basepoint]
+    edges = {}
+    for eid, label, src, dst in g1.edges():
+        edges[(0, eid)] = (label, map1[src], map1[dst])
+    for eid, label, src, dst in g2.edges():
+        edges[(1, eid)] = (label, map2[src], map2[dst])
+    graph = LabeledGraph(g1.rank, vertices, edges, basepoint=(0, g1.basepoint))
+    return graph, map1, map2
 
 
 @pytest.fixture

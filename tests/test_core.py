@@ -87,6 +87,8 @@ def test_subgroup_from_spec_validates():
         subgroup_from_spec({"alphabet_rank": 26, "generators": [True]})
     with pytest.raises(ValueError, match="generators"):
         subgroup_from_spec({"generators": ["a", None]})
+    with pytest.raises(ValueError, match="'alphabet_rnak'"):
+        subgroup_from_spec({"alphabet_rnak": 3, "generators": ["a"]})
 
 
 # -- wrapping a core ----------------------------------------------------------------

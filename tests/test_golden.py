@@ -101,6 +101,8 @@ ERRORS = {
         "error: left core has a vertex of valence 4 > 3 (rerun with --normalize)\n",
     ("matrix", _spec("a", "bab"), _spec("b", "aBabA"), "--normalize"):
         "error: basepoint normalization needs a nontrivial intersection\n",
+    ("check", json.dumps({"alphabet_rnak": 3, "generators": ["a"]}), json.dumps({"generators": ["a"]})):
+        "error: SPEC_H: unknown spec key 'alphabet_rnak' (expected alphabet_rank, generators)\n",
 }
 
 

@@ -16,11 +16,10 @@ from stallings import (
     fold_to_immersion,
     subgroup_graph,
     trim_to_core,
-    wedge,
 )
 from stallings.graphs import ImproperLabelingError
 
-from conftest import FIGURE_MEET_WORD, make
+from conftest import FIGURE_MEET_WORD, make, wedge
 
 
 def folded_core_of(*texts):

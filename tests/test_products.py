@@ -19,10 +19,13 @@ from stallings import (
     check_squares_construction,
     double_cosets,
     embed_into_rank2,
+    fold_to_immersion,
     intersection,
     join,
     join_with_maps,
     membership,
+    normalize_nonextremal,
+    normalize_pair,
     subgroup_graph,
     topological_pushout,
     trim_to_core,
@@ -30,7 +33,8 @@ from stallings import (
 from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, random_subgroup
 from stallings.words import generator_squares
 
-from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make
+import stallings.products
+from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make, wedge
 
 
 def embedded(*texts, rank=3):
@@ -253,6 +257,92 @@ def test_join_rank_can_exceed_ambient_when_factors_are_small():
     H, K = make("b", "abA"), make("aabAA", "aaabAAA")
     assert join(H, K).rank == 4
     assert intersection(H, K).is_trivial
+
+
+def _wedge_join(H, K):
+    """The join as the wedge of the two cores, folded, trimmed and
+    canonicalized, with each factor's vertex map into it."""
+    wedged, mapH, mapK = wedge(H.graph, K.graph)
+    folded = fold_to_immersion(wedged)
+    canon = trim_to_core(folded.graph).canonical()
+
+    def compose(pre):
+        return {v: canon.vertex_map.get(folded.vertex_map[tagged]) for v, tagged in pre.items()}
+
+    return canon.graph, compose(mapH), compose(mapK)
+
+
+def _join_pair(seed, kind, rank):
+    """A pair of the given kind: random factors, a trivial factor, equal
+    factors, K <= H, factors hung from a common stem, or the normalized
+    pair of a nontrivial meet."""
+    rng = random.Random(seed)
+    A = Alphabet(rank)
+    H = random_subgroup(rng, rng.randint(1, 3), 6, A)
+    if kind == "trivial":
+        pair = [H, subgroup_graph([], A)]
+        rng.shuffle(pair)
+        return tuple(pair)
+    if kind == "equal":
+        return H, H
+    if kind == "sub":
+        gens = list(H.generators) + [~w for w in H.generators]
+        words = []
+        for _ in range(rng.randint(1, 3)):
+            w = rng.choice(gens)
+            for _ in range(rng.randint(0, 2)):
+                w = w * rng.choice(gens)
+            words.append(w)
+        return H, subgroup_graph(words, A)
+    K = random_subgroup(rng, rng.randint(1, 3), 6, A)
+    if kind == "stem":
+        stem = random_subgroup(rng, 1, 5, A).generators[0]
+        return H.conj(stem), K.conj(stem)
+    if kind == "normalized":
+        K = subgroup_graph([H.generators[0], *K.generators], A)
+        if rank == 2:
+            return normalize_pair(H, K)
+        return normalize_nonextremal(H, K)[:2]
+    return H, K
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "trivial", "equal", "sub", "stem", "normalized"]),
+    st.integers(2, 3),
+)
+def test_join_matches_the_folded_wedge(seed, kind, rank):
+    """Reading K's core into H's gives the core, generators and vertex maps
+    that folding the two cores' wedge gives."""
+    H, K = _join_pair(seed, kind, rank)
+    res = join_with_maps(H, K)
+    graph, left, right = _wedge_join(H, K)
+    assert res.subgroup.graph == graph
+    assert res.subgroup.generators == H.generators + K.generators
+    assert res.left_vertex_map == left
+    assert res.right_vertex_map == right
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_reads_a_subgroup_without_laying_an_edge(monkeypatch, seed):
+    """join(H, H), and join(H, K) with K <= H, hand the fold H's core alone:
+    every edge of K reads along H's darts to its far end's image."""
+    handed = []
+    real = stallings.products.fold_to_immersion
+
+    def recording(g):
+        handed.append(g)
+        return real(g)
+
+    monkeypatch.setattr(stallings.products, "fold_to_immersion", recording)
+    H, K = _join_pair(seed, "sub", 2 + seed % 2)
+    for other in (H, K):
+        handed.clear()
+        assert join(H, other) == H
+        (g,) = handed
+        assert g.edge_count == H.graph.edge_count
+        assert g.is_properly_labeled()
 
 
 # -- topological pushout ------------------------------------------------------------

@@ -47,10 +47,7 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args, stdout, stderr)
-    except CliError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 1
-    except (WordSyntaxError, NotNormalizedError, TrivialIntersectionError) as exc:
+    except (CliError, WordSyntaxError, NotNormalizedError, TrivialIntersectionError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
 
@@ -166,9 +163,7 @@ def _load_subgroup(text: str, arg_name: str) -> Subgroup:
         raise CliError(f"{arg_name}: expected a JSON object with a generators list")
     try:
         return subgroup_from_spec(data)
-    except WordSyntaxError as exc:
-        raise CliError(f"{arg_name}: {exc}")
-    except ValueError as exc:
+    except ValueError as exc:  # WordSyntaxError included
         raise CliError(f"{arg_name}: {exc}")
 
 
@@ -354,15 +349,8 @@ def _cmd_corpus(args, stdout, stderr) -> int:
 
 
 def _cmd_fuzz(args, stdout, stderr) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("STALLINGS_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise CliError(f"STALLINGS_SEED is not an integer: {env_seed!r}")
     config = FuzzConfig(
-        seed=seed,
+        seed=args.seed,
         instance_count=args.count,
         min_generators=args.min_rank,
         max_generators=args.max_rank,

@@ -14,7 +14,6 @@ from typing import Iterable
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
-    based_product,
     bouquet_of,
     fold_to_immersion,
     trim_to_core,
@@ -190,71 +189,3 @@ def three_regularize(H: Subgroup) -> Subgroup:
         [square_commutator_embed(w) for w in H.generators], H.alphabet
     )
 
-
-# -- basepoint normalization -------------------------------------------------
-
-
-def _stem_word(graph: LabeledGraph) -> Word:
-    """Letters along the unique path from an extremal basepoint to the
-    nearest vertex of valence >= 3."""
-    path, _ = _tree_paths(graph)
-    for v, letters in path.items():  # in walk order, nearest first
-        if graph.valence(v) >= 3:
-            return Word(Alphabet(graph.rank), letters)
-    raise ValueError("no branch vertex reachable; cannot normalize a rank <= 0 core")
-
-
-def _has_extremal_vertex(graph: LabeledGraph) -> bool:
-    return any(graph.valence(v) <= 1 for v in graph.vertices)
-
-
-def _conjugate_pair(H: Subgroup, K: Subgroup, v: Word) -> tuple[Subgroup, Subgroup]:
-    return H.conj(v), K.conj(v)
-
-
-def normalize_nonextremal(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, Word]:
-    """Conjugate the pair until neither core has an extremal vertex.
-
-    Requires a nontrivial intersection.  First the basepoint of the left
-    core is pushed to its nearest branch vertex; then, if the right core
-    still has an extremal basepoint, its stem word (readable from the left
-    basepoint too, because the intersection is nontrivial) is used for a
-    second conjugation.  Returns the adjusted pair and the conjugator v,
-    with each returned subgroup equal to v * original * v^-1.
-    """
-    H, K, total, _ = _normalize_nonextremal(H, K)
-    return H, K, total
-
-
-def _normalize_nonextremal(
-    H: Subgroup, K: Subgroup
-) -> tuple[Subgroup, Subgroup, Word, LabeledGraph | None]:
-    """:func:`normalize_nonextremal`, also returning the based product
-    component its triviality check walked while that is still the returned
-    pair's (no conjugation was needed), else None."""
-    if H.alphabet != K.alphabet:
-        raise ValueError("alphabet mismatch")
-    # the meet is trivial when the based product component is a tree
-    product = None if H.is_trivial or K.is_trivial else based_product(H.graph, K.graph)
-    if product is None or product.chi == 1:
-        raise TrivialIntersectionError(
-            "basepoint normalization needs a nontrivial intersection"
-        )
-    total = H.alphabet.identity()
-    if _has_extremal_vertex(H.graph):
-        w = _stem_word(H.graph)
-        step = ~w
-        H, K = _conjugate_pair(H, K, step)
-        total = step * total
-        product = None
-    if _has_extremal_vertex(K.graph):
-        w = _stem_word(K.graph)
-        if not H.graph.trace(H.graph.basepoint, w).ok:
-            raise AssertionError("stem word must be readable in both cores")
-        step = ~w
-        H, K = _conjugate_pair(H, K, step)
-        total = step * total
-        product = None
-    if _has_extremal_vertex(H.graph) or _has_extremal_vertex(K.graph):
-        raise AssertionError("normalization failed to remove extremal vertices")
-    return H, K, total, product

@@ -425,17 +425,8 @@ class LabeledGraph:
         graph = LabeledGraph(self.rank, range(len(vertex_map)), edges, basepoint=bp)
         return CanonicalForm(graph, vertex_map, edge_map)
 
-    def canonical_key(self, *, based: bool = True) -> tuple:
-        g = self.canonical(based=based).graph
-        return (
-            g.rank,
-            g.vertex_count,
-            tuple(sorted((src, label, dst) for _, (label, src, dst) in g._edge.items())),
-            g.basepoint,
-        )
-
     def isomorphic(self, other: "LabeledGraph", *, based: bool = True) -> bool:
-        return self.canonical_key(based=based) == other.canonical_key(based=based)
+        return self.canonical(based=based).graph == other.canonical(based=based).graph
 
     def __eq__(self, other: object) -> bool:
         """Structural identity: same ids, edges and basepoint."""

@@ -1,9 +1,9 @@
 """Verification harness: evaluate every rank inequality on subgroup pairs.
 
 ``check_instance`` extracts the meet, the join, the pushout, and the double
-cosets of one pair, normalizes the pair (3-regularize, conjugate extremal
-vertices away), measures the star classes / incidence matrix / pairing graph
-of the normalized pushout, and renders everything as three-valued verdicts:
+cosets of one pair, normalizes the pair (3-regularize, rebase at the meet's
+core), measures the star classes / incidence matrix / pairing graph of the
+normalized pushout, and renders everything as three-valued verdicts:
 ``pass``/``fail`` each carry an integer slack, and checks whose hypotheses
 do not hold report ``not_applicable`` rather than a vacuous pass.
 
@@ -21,8 +21,7 @@ from types import SimpleNamespace
 
 from .core import (
     Subgroup,
-    _normalize_nonextremal,
-    _stem_word,
+    TrivialIntersectionError,
     _tree_paths,
     subgroup_graph,
     three_regularize,
@@ -307,9 +306,11 @@ def normalize_pair(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup]:
     """Rewrite a pair so the structural identities' hypotheses all hold.
 
     3-regularizes both subgroups (making every branch vertex 3-valent),
-    then conjugates the pair until the factor cores and the meet's core all
-    have no extremal vertices.  Meet, join, and factor ranks are preserved.
-    Raises :class:`TrivialIntersectionError` when the meet is trivial.
+    walks their based product once, and rebases the pair at its meet's core
+    by at most one conjugation, so that neither factor core nor the meet's
+    core has an extremal vertex.  Meet, join, and factor ranks are
+    preserved.  Raises :class:`TrivialIntersectionError` when the meet is
+    trivial.
     """
     Hn, Kn, _ = _normalize_with_meet(H, K)
     return Hn, Kn
@@ -318,24 +319,39 @@ def normalize_pair(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup]:
 def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, LabeledGraph]:
     """:func:`normalize_pair`, plus the normalized pair's based meet core.
 
-    Removing extremal vertices from the two factor cores does not stop the
-    shared basepoint from being a valence-1 vertex of the meet's core, and
-    such a stem would feed dangling identifications into the pushout.  The
-    stem's word is readable in both factors (the meet's core projects into
-    each), so conjugating by its inverse merely rebases the factor cores --
-    no trimming, valences untouched -- while the meet's core gets rebased at
-    one of its branch or cycle vertices and sheds the stem.  The meet core
-    is built anew only when that conjugation happens.
+    The based meet core immerses into both factor cores, so its basepoint's
+    valence bounds theirs from below, and in a core only the basepoint can
+    be extremal.  A meet core whose basepoint has valence >= 2 therefore
+    leaves the pair as it is.  Otherwise the meet core hangs from its
+    basepoint on a stem, whose word reads in both factors; conjugating by
+    its inverse rebases all three cores at the stem's far end, a branch
+    vertex of the meet core, without trimming anything.
     """
-    Hn, Kn, _, product = _normalize_nonextremal(three_regularize(H), three_regularize(K))
-    if product is None:
-        product = based_product(Hn.graph, Kn.graph)
+    H, K = three_regularize(H), three_regularize(K)
+    # the meet is trivial when the based product component is a tree
+    product = based_product(H.graph, K.graph)
+    if product.chi == 1:
+        raise TrivialIntersectionError("basepoint normalization needs a nontrivial intersection")
     meet_core = trim_to_core(product)
-    if meet_core.valence(meet_core.basepoint) >= 2:
-        return Hn, Kn, meet_core
-    step = ~_stem_word(meet_core)
-    Hn, Kn = Hn.conj(step), Kn.conj(step)
-    return Hn, Kn, based_meet_core(Hn, Kn)
+    if meet_core.valence(meet_core.basepoint) <= 1:
+        step = ~_stem_word(meet_core)
+        H, K = H.conj(step), K.conj(step)
+        meet_core = based_meet_core(H, K)
+    _require(
+        all(g.valence(v) >= 2 for g in (H.graph, K.graph, meet_core) for v in g.vertices),
+        "no factor core or meet core has an extremal vertex",
+    )
+    return H, K, meet_core
+
+
+def _stem_word(graph: LabeledGraph) -> Word:
+    """Letters along the unique path from an extremal basepoint to the
+    nearest vertex of valence >= 3."""
+    path, _ = _tree_paths(graph)
+    for v, letters in path.items():  # in walk order, nearest first
+        if graph.valence(v) >= 3:
+            return Word(Alphabet(graph.rank), letters)
+    raise ValueError("no branch vertex reachable; cannot normalize a rank <= 0 core")
 
 
 def matrix_pipeline(H: Subgroup, K: Subgroup, meet_core: LabeledGraph) -> tuple:
@@ -365,10 +381,6 @@ def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
     _require(
         meet_core.edge_count - meet_core.vertex_count + 1 == raw["rank_meet"],
         "the meet rank is preserved",
-    )
-    _require(
-        all(meet_core.valence(v) >= 2 for v in meet_core.vertices),
-        "the meet core has no extremal vertex",
     )
     join_sub = join(Hn, Kn)
     _require(join_sub.rank == raw["rank_join"], "the join rank is preserved")

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from stallings import RANK2, LabeledGraph, subgroup_graph
+from stallings import (
+    RANK2,
+    LabeledGraph,
+    TrivialIntersectionError,
+    based_meet_core,
+    subgroup_graph,
+    three_regularize,
+)
+from stallings.graphs import based_product
+from stallings.verify import _stem_word
 
 
 # The hand-checked pair whose meet core wraps once around a long loop while
@@ -37,6 +46,44 @@ def wedge(g1, g2):
         edges[(1, eid)] = (label, map2[src], map2[dst])
     graph = LabeledGraph(g1.rank, vertices, edges, basepoint=(0, g1.basepoint))
     return graph, map1, map2
+
+
+def _has_extremal_vertex(graph):
+    return any(graph.valence(v) <= 1 for v in graph.vertices)
+
+
+def stepwise_nonextremal(H, K):
+    """Conjugate a pair of any rank until neither core has an extremal
+    vertex: away from H's stem, then from K's.  Returns the pair and the
+    total conjugator v, each returned subgroup being v * original * v^-1.
+    The first two steps of the stepwise normalization below."""
+    if based_product(H.graph, K.graph).chi == 1:
+        raise TrivialIntersectionError("basepoint normalization needs a nontrivial intersection")
+    total = H.alphabet.identity()
+    for side in (0, 1):
+        graph = (H, K)[side].graph
+        if _has_extremal_vertex(graph):
+            step = ~_stem_word(graph)
+            H, K = H.conj(step), K.conj(step)
+            total = step * total
+    if _has_extremal_vertex(H.graph) or _has_extremal_vertex(K.graph):
+        raise AssertionError("normalization failed to remove extremal vertices")
+    return H, K, total
+
+
+def stepwise_normalize(H, K):
+    """The rank-2 normalization as up to three stem conjugations: H's, K's,
+    then the meet core's.  Returns the normalized pair, its based meet core
+    and the total conjugator of the 3-regularized pair.  The normalizer
+    makes one conjugation instead, and must agree with this oracle."""
+    H, K, total = stepwise_nonextremal(three_regularize(H), three_regularize(K))
+    meet_core = based_meet_core(H, K)
+    if meet_core.valence(meet_core.basepoint) <= 1:
+        step = ~_stem_word(meet_core)
+        H, K = H.conj(step), K.conj(step)
+        total = step * total
+        meet_core = based_meet_core(H, K)
+    return H, K, meet_core, total
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Subgroups: cores, membership, bases, 3-regularization, extremal normalization."""
+"""Subgroups: cores, membership, bases, 3-regularization, pair normalization."""
 
 import random
 
@@ -12,15 +12,16 @@ from stallings import (
     Subgroup,
     Word,
     basis,
+    based_meet_core,
     membership,
-    normalize_nonextremal,
+    normalize_pair,
     subgroup_from_spec,
     subgroup_graph,
     three_regularize,
 )
-from stallings.verify import random_subgroup
+from stallings.verify import _normalize_with_meet, random_subgroup
 
-from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make
+from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make, stepwise_normalize
 
 
 # -- core construction --------------------------------------------------------------
@@ -259,38 +260,47 @@ def test_three_regularize_random(seed):
 # -- extremal-vertex normalization --------------------------------------------------
 
 
+def _extremal_free(*graphs):
+    return all(g.valence(v) >= 2 for g in graphs for v in g.vertices)
+
+
 def test_normalize_nonextremal_fixes_clean_pairs():
+    """A pair whose meet core has no stem is only 3-regularized."""
     H, K = make("a", "bab"), make("b", "aa")
-    H2, K2, v = normalize_nonextremal(H, K)
-    assert (H2, K2) == (H, K)
-    assert v.is_identity
+    H2, K2, meet = _normalize_with_meet(H, K)
+    assert (H2, K2) == (three_regularize(H), three_regularize(K))
+    assert H2.generators == three_regularize(H).generators
+    assert meet == based_meet_core(H2, K2)
 
 
 def test_normalize_nonextremal_preserves_figure_ranks():
     from stallings import intersection, join
 
     H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
-    H2, K2, v = normalize_nonextremal(H, K)
-    assert H2.graph.stats().extremal_count == 0
-    assert K2.graph.stats().extremal_count == 0
+    H2, K2, meet = _normalize_with_meet(H, K)
+    assert _extremal_free(H2.graph, K2.graph, meet)
     assert (H2.rank, K2.rank) == (H.rank, K.rank)
     assert intersection(H2, K2).rank == intersection(H, K).rank
     assert join(H2, K2).rank == join(H, K).rank
 
 
 def test_normalize_nonextremal_conjugator_matches():
+    """A pair the oracle conjugates: the result is the oracle's, and a
+    conjugate of the 3-regularized pair by the oracle's conjugator."""
     H, K = make("abA"), make("abbA")
-    H2, K2, v = normalize_nonextremal(H, K)
-    assert H2 == H.conj(v) and K2 == K.conj(v)
-    assert H2.graph.stats().extremal_count == 0
-    assert K2.graph.stats().extremal_count == 0
+    H2, K2 = normalize_pair(H, K)
+    H3, K3, _, v = stepwise_normalize(H, K)
+    assert not v.is_identity
+    assert (H2, K2) == (H3, K3)
+    assert H2 == three_regularize(H).conj(v) and K2 == three_regularize(K).conj(v)
+    assert _extremal_free(H2.graph, K2.graph)
 
 
 def test_normalize_nonextremal_requires_nontrivial_meet():
     from stallings import TrivialIntersectionError
 
     with pytest.raises(TrivialIntersectionError):
-        normalize_nonextremal(make("a", "bab"), make("b", "aBabA"))
+        normalize_pair(make("a", "bab"), make("b", "aBabA"))
 
 
 @settings(max_examples=30, deadline=None)
@@ -303,8 +313,7 @@ def test_normalize_nonextremal_random(seed):
     K = random_subgroup(rng, rng.randint(1, 3), 6)
     if intersection(H, K).is_trivial:
         return
-    H2, K2, v = normalize_nonextremal(H, K)
-    assert H2.graph.stats().extremal_count == 0
-    assert K2.graph.stats().extremal_count == 0
+    H2, K2, meet = _normalize_with_meet(H, K)
+    assert _extremal_free(H2.graph, K2.graph, meet)
     assert (H2.rank, K2.rank) == (H.rank, K.rank)
-    assert H2 == H.conj(v) and K2 == K.conj(v)
+    assert meet.edge_count - meet.vertex_count + 1 == intersection(H, K).rank

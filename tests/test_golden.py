@@ -4,7 +4,9 @@ The ``fuzz``/``corpus`` hashes were computed from the output before the
 sparse double-coset product and the dart index went in.  The other pins
 cover output that holds basis words and DOT vertex numbering, which depend
 on the order graphs are walked in; they were computed before the shared
-dart walk and union-find replaced the per-module copies.  A change that
+dart walk and union-find replaced the per-module copies, and the two
+``STEMMED`` pins before normalization's stem conjugations became one
+rebasing at the meet core.  A change that
 means to alter these outputs must update them and say why.
 """
 
@@ -30,6 +32,9 @@ def _spec(*gens):
 GAP = (_spec("aBBa", "abbAABA", "ABaba"), _spec("aaba", "abbbbaaBBA"))
 CYCLIC = (_spec("a", "bab"), _spec("b", "aa"))
 SELF = (_spec("a", "bab"), _spec("a", "bab"))
+# a rank-2 meet whose core hangs from the basepoint on a stem, after the
+# factors' own stems: normalization rebases this pair
+STEMMED = (_spec("AbaBABBa", "AbbbABBa", "ABaBa"), _spec("AbaBABBa", "AbbbABBa", "AbAbaBa"))
 
 GOLDEN = {
     ("fuzz", "--count", "300", "--seed", "0"):
@@ -78,6 +83,10 @@ GOLDEN = {
         "40e6a89485ed5cafb00ee551d8acbae73ea5a44cd03b7665a2020d8551d10383",
     ("check", *GAP, "--json"):
         "bc1ae5daefa6b035ae363c50b6548bfd3d4e029e847d8bc0d701e64de9690e08",
+    ("matrix", *STEMMED, "--normalize", "--json"):
+        "427d7f5a352d21947435eadef26b7e746ea3e08da520b9a7b7dce912b1166870",
+    ("check", *STEMMED, "--json"):
+        "57ad6c4031400df96288c3ee57806ca68cdb1ffdf55b23c971626e7924b2adb5",
 }
 
 

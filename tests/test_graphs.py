@@ -284,7 +284,7 @@ def test_fold_matches_the_naive_fold(case):
     result = fold_to_immersion(g)
     reference, vmap, emap = _naive_fold(g)
     assert result.graph.is_properly_labeled()
-    assert result.graph.canonical_key() == reference.canonical_key()
+    assert result.graph.isomorphic(reference)
     # folding is a quotient map: the identifications themselves are unique
     assert _partition(result.vertex_map) == _partition(vmap)
     assert _partition(result.edge_map) == _partition(emap)

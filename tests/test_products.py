@@ -24,7 +24,6 @@ from stallings import (
     join,
     join_with_maps,
     membership,
-    normalize_nonextremal,
     normalize_pair,
     subgroup_graph,
     topological_pushout,
@@ -34,7 +33,14 @@ from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, random_subgroup
 from stallings.words import generator_squares
 
 import stallings.products
-from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make, wedge
+from conftest import (
+    FIGURE_LEFT,
+    FIGURE_MEET_WORD,
+    FIGURE_RIGHT,
+    make,
+    stepwise_nonextremal,
+    wedge,
+)
 
 
 def embedded(*texts, rank=3):
@@ -302,7 +308,7 @@ def _join_pair(seed, kind, rank):
         K = subgroup_graph([H.generators[0], *K.generators], A)
         if rank == 2:
             return normalize_pair(H, K)
-        return normalize_nonextremal(H, K)[:2]
+        return stepwise_nonextremal(H, K)[:2]
     return H, K
 
 

@@ -24,6 +24,7 @@ from stallings import (
     join,
     normalize_pair,
     random_subgroup,
+    three_regularize,
     subgroup_from_spec,
     subgroup_graph,
 )
@@ -39,7 +40,7 @@ from stallings.verify import (
     CORPUS_PAIRS,
 )
 
-from conftest import FIGURE_LEFT, FIGURE_RIGHT, make
+from conftest import FIGURE_LEFT, FIGURE_RIGHT, make, stepwise_normalize
 
 
 # -- verdict primitives -------------------------------------------------------------
@@ -232,10 +233,64 @@ def test_normalize_pair_output_is_fully_normalized():
         assert all(meet.valence(v) >= 2 for v in meet.vertices)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8),
+)
+def test_normalize_pair_matches_the_stepwise_oracle(seed, share, letters):
+    """One rebasing at the meet core gives the pair, generators and meet core
+    that conjugating away H's stem, then K's, then the meet core's gives.
+    Pairs are random, or share a generator so that their meet is
+    nontrivial, and are conjugated by a random word so that the oracle
+    takes one, two or three steps."""
+    from stallings import Word
+    from stallings.verify import _normalize_with_meet
+
+    rng = random.Random(seed)
+    H = random_subgroup(rng, rng.randint(1, 3), 6)
+    K = random_subgroup(rng, rng.randint(1, 3), 6)
+    if share:
+        K = subgroup_graph([H.generators[0], *K.generators], RANK2)
+    g = Word(RANK2, letters)
+    H, K = H.conj(g), K.conj(g)
+    if intersection(H, K).is_trivial:
+        for normalize in (_normalize_with_meet, stepwise_normalize):
+            with pytest.raises(TrivialIntersectionError):
+                normalize(H, K)
+        return
+    Hn, Kn, meet = _normalize_with_meet(H, K)
+    Ho, Ko, meet_o, v = stepwise_normalize(H, K)
+    assert (Hn.graph, Kn.graph) == (Ho.graph, Ko.graph)
+    assert (Hn.generators, Kn.generators) == (Ho.generators, Ko.generators)
+    assert meet == meet_o
+    assert Hn == three_regularize(H).conj(v) and Kn == three_regularize(K).conj(v)
+
+
+def test_normalize_pair_conjugates_each_factor_at_most_once(monkeypatch):
+    """A pair whose oracle conjugates three times (H's stem, K's stem, the
+    meet core's stem) is rebased by one conjugation of each factor."""
+    from stallings.core import Subgroup
+
+    H = subgroup_graph(["bbabaBB", "bAB"], RANK2)
+    K = subgroup_graph(["bbabaBB", "bbAAB"], RANK2)
+    real = Subgroup.conj
+    calls = []
+
+    def counting(self, g):
+        calls.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(Subgroup, "conj", counting)
+    normalize_pair(H, K)
+    assert len(calls) <= 2
+
+
 def test_check_instance_walks_the_normalized_meet_once(monkeypatch):
     """self_join needs no conjugation, so the product component walked to
     test the meet for triviality is the normalized pair's meet as well."""
-    from stallings import core, graphs, products, verify
+    from stallings import graphs, products, verify
 
     H, K = fixture_pair(next(f for f in CORPUS_PAIRS if f["name"] == "self_join"))
     Hn, Kn = normalize_pair(H, K)
@@ -245,7 +300,7 @@ def test_check_instance_walks_the_normalized_meet_once(monkeypatch):
         walked.append((g1, g2))
         return graphs.based_product(g1, g2)
 
-    for module in (core, products, verify):
+    for module in (products, verify):
         monkeypatch.setattr(module, "based_product", counting)
     check_instance(H, K)
     assert walked.count((Hn.graph, Kn.graph)) == 1
@@ -303,6 +358,18 @@ def test_structural_invariant_breach_is_an_explicit_error(monkeypatch):
     )
     with pytest.raises(AssertionError, match="factor ranks are preserved"):
         check_instance(make("a", "bab"), make("a", "bab"))
+
+
+def test_extremal_vertex_after_normalization_is_an_explicit_error(monkeypatch):
+    """A rebasing that leaves the meet core's stem in place raises, with no
+    ``assert`` that ``python -O`` could strip."""
+    from stallings import Word, verify
+
+    monkeypatch.setattr(verify, "_stem_word", lambda graph: Word(RANK2, ()))
+    H = subgroup_graph(["bbabaBB", "bAB"], RANK2)
+    K = subgroup_graph(["bbabaBB", "bbAAB"], RANK2)
+    with pytest.raises(AssertionError, match="extremal vertex"):
+        normalize_pair(H, K)
 
 
 # -- random subgroups ----------------------------------------------------------------

@@ -5,7 +5,9 @@ based component computes the intersection, its other positive-rank
 components enumerate the conjugacy classes of intersections with
 conjugates, and pushing the two cores out along any family of common
 immersed subgraphs produces the quotient whose Euler characteristic
-controls the join.
+controls the join.  No construction here builds the whole product: the
+meet grows the basepoint's component alone, and the double cosets read
+the segments of one core between its branch vertices in the other.
 
 Throughout, product vertices are coordinate pairs (left vertex, right
 vertex) and product edges are pairs (left edge, right edge); the
@@ -62,8 +64,8 @@ class JoinResult:
 def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
     """Read K's core into H's, fold, trim, canonicalize.
 
-    K's core is walked from its basepoint in dart order, placing each of its
-    vertices on a vertex of the growing graph, which starts as H's core.
+    K's core is walked from its basepoint, placing each of its vertices on a
+    vertex of the growing graph, which starts as H's core.
     Each K edge is read, once, from the image of its near end: along H's
     darts, then along the darts laid so far.  An edge is laid only where
     that reading fails or reaches a vertex other than the far end's image,
@@ -76,6 +78,7 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
     dart, edge = gH._dart, gH._edge
+    out_K, in_K, edge_K = gK._out, gK._in, gK._edge
     # subgroup cores are canonically numbered 0..n-1, so laid ids follow H's
     edges = dict(edge)
     next_vertex = gH.vertex_count
@@ -85,12 +88,15 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
     done: set = set()  # K edges read
     for v in order:  # order grows while it is walked
         x = place[v]
-        for letter, e, w in gK.darts(v):
+        # K's stars come off its edge lists: walking darts() would keep every
+        # star of K cached for the life of the subgroup
+        for e, direction in [(e, OUT) for e in out_K[v]] + [(e, IN) for e in in_K[v]]:
             if e in done:
                 continue
             done.add(e)
-            label = abs(letter) - 1
-            held = dart.get((x, label, OUT if letter > 0 else IN))
+            label, src, dst = edge_K[e]
+            w, letter = (dst, label + 1) if direction == OUT else (src, -label - 1)
+            held = dart.get((x, label, direction))
             y = laid.get((x, letter)) if held is None else edge[held][2 if letter > 0 else 1]
             z = place.get(w)
             if z is None:
@@ -338,90 +344,160 @@ class DoubleCosetDecomposition:
         return tuple(entry.rank for entry in self.entries)
 
 
-def _edge_groups(g: LabeledGraph, code: dict) -> dict:
-    """label -> (source kinds, target kinds) -> [(edge, source code, target code)].
+class ReadBudgetError(ValueError):
+    """:func:`double_cosets` read more than :data:`READ_BUDGET` letters."""
 
-    A vertex's dart kinds form a bitmask over (label, direction); a
-    basepoint counts as carrying every kind.
+
+#: Letters :func:`double_cosets` may read before it refuses a pair.  The
+#: most read for one pair of ``fuzz --count 2000 --seed 0`` (either mode),
+#: ``corpus`` or either benchmark workload is about 1,000, and 219,541 for
+#: the self pair of three 3,000-letter generators; the limit is over a
+#: hundred times that.  A refused pair is an error, never a verdict.
+READ_BUDGET = 30_000_000
+
+
+def _segments(g: LabeledGraph) -> list:
+    """The maximal segments of ``g``'s unbased core between branch vertices.
+
+    The stem of an extremal basepoint is dropped first.  A segment is
+    ``(start, end, keys)``, read from ``start`` by taking the dart
+    ``(label, direction)`` of each key in turn to the far end, whose index
+    in an edge record the key's third item gives.  Each segment is listed
+    once, from one end.  A core that is a circle is one segment, from and
+    to its first vertex.
     """
-    kinds = dict.fromkeys(g.vertices, 0)
-    for _, label, src, dst in g.edges():
-        kinds[src] |= 1 << (2 * label)
-        kinds[dst] |= 2 << (2 * label)
-    kinds[g.basepoint] = (1 << (2 * g.rank)) - 1
-    groups: dict = defaultdict(lambda: defaultdict(list))
-    for eid, label, src, dst in g.edges():
-        groups[label][kinds[src], kinds[dst]].append((eid, code[src], code[dst]))
-    return groups
+    if g.basepoint is not None and g.valence(g.basepoint) <= 1:
+        g = trim_to_core(g, keep_basepoint=False)
+    edge, out, inc = g._edge, g._out, g._in
+    ends = [v for v in g.vertices if len(out[v]) + len(inc[v]) >= 3] or list(g.vertices[:1])
+    is_end = set(ends)
+    taken: set = set()
+    segments = []
+    for x in ends:
+        for first in [(e, OUT) for e in out[x]] + [(e, IN) for e in inc[x]]:
+            if first[0] in taken:
+                continue
+            keys = []
+            e, direction = first
+            while True:
+                taken.add(e)
+                label, src, dst = edge[e]
+                if direction == OUT:
+                    here = dst
+                    keys.append((label, OUT, 2))
+                else:
+                    here = src
+                    keys.append((label, IN, 1))
+                if here in is_end:
+                    break
+                # a vertex inside a segment has two darts and no loop: leave by
+                # the one that is not e's, keeping direction if it can
+                onward, back = (out[here], inc[here]) if direction == OUT else (inc[here], out[here])
+                if onward:
+                    e = onward[0]
+                else:
+                    e = back[1] if back[0] == e else back[0]
+                    direction = -direction
+            segments.append((x, here, tuple(keys)))
+    return segments
 
 
-def double_cosets(H: Subgroup, K: Subgroup) -> DoubleCosetDecomposition:
+def double_cosets(
+    H: Subgroup, K: Subgroup, meet_core: LabeledGraph | None = None
+) -> DoubleCosetDecomposition:
     """Positive-rank components of the product, trimmed to unbased cores.
 
     Each entry realizes one double coset whose conjugate meets the left
     factor nontrivially.  The based entry (when present) is listed first,
     then the rest in decreasing rank; entries of equal rank come in a
-    deterministic but unspecified order.
+    deterministic but unspecified order.  ``meet_core``, when given, must be
+    :func:`based_meet_core` of the pair; it marks the based entry, and is
+    computed here otherwise.
 
-    The components are found by union-find over label-matched edge pairs,
-    so the full vertex-pair product is never built.  A product vertex's
-    valence is the number of dart kinds its coordinates share; an edge
-    pair with an endpoint of valence one lies on no cycle, and dropping
-    it drops that endpoint too, so it is skipped without changing any
-    component's rank.  The basepoint pair is never dropped this way.
+    An immersed closed loop in a core with a branch vertex passes through
+    one (Stallings, *Topology of finite graphs*, 1983), and where a product
+    core passes a vertex inside a segment of one factor's core it carries
+    the whole segment.  So the product cores are the cores of the graph of
+    full segment lifts.  One factor's unbased core is cut into segments,
+    and each segment is read once in the other factor, starting at every
+    edge that carries its first letter.  Each segment read in full joins
+    the (branch vertex, vertex reached) pairs at its two ends in a
+    union-find; the components that close a cycle are laid out edge by
+    edge and trimmed.  The side read is the one with the smaller rank ×
+    (other side's vertex count).  Raises :class:`ReadBudgetError` past
+    :data:`READ_BUDGET` letters read.
     """
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
+    if meet_core is None:
+        meet_core = based_meet_core(H, K)
     gH, gK = H.graph, K.graph
-    # product vertex (vH, vK) is coded as index(vH) * width + index(vK)
-    width = gK.vertex_count
-    code_H = {v: i * width for i, v in enumerate(gH.vertices)}
-    code_K = {v: i for i, v in enumerate(gK.vertices)}
-    groups_H = _edge_groups(gH, code_H)
-    groups_K = _edge_groups(gK, code_K)
-
-    def matched_pairs():
-        for label, by_kinds_H in groups_H.items():
-            by_kinds_K = groups_K.get(label, {})
-            for (a, b), edges_H in by_kinds_H.items():
-                for (c, d), edges_K in by_kinds_K.items():
-                    if (a & c).bit_count() < 2 or (b & d).bit_count() < 2:
-                        continue
-                    for eH, src, dst in edges_H:
-                        for eK, src_K, dst_K in edges_K:
-                            yield eH, eK, label, src + src_K, dst + dst_K
+    swap = K.rank * gH.vertex_count < H.rank * gK.vertex_count
+    reader, target = (gK, gH) if swap else (gH, gK)
+    dart, edge = target._dart, target._edge
+    by_label: dict = defaultdict(list)  # label -> target edges as (id, src, dst)
+    for e, (label, src, dst) in edge.items():
+        by_label[label].append((e, src, dst))
 
     parts = DisjointSet()
-    closing = []  # an endpoint of each edge pair that closes a cycle
-    for _, _, _, u, w in matched_pairs():
-        parts.add(u)
-        parts.add(w)
-        if not parts.union(u, w):
-            closing.append(u)
+    closing = []  # an end of each lift that closes a cycle
+    lifts = []  # (segment, first target vertex) of every segment read in full
+    read = 0
+    for segment in _segments(reader):
+        x0, x1, keys = segment
+        (first, forwards, _), rest = keys[0], keys[1:]
+        for _, src, dst in by_label[first]:
+            y0, y = (src, dst) if forwards == OUT else (dst, src)
+            for i, (label, direction, far) in enumerate(rest):
+                e = dart.get((y, label, direction))
+                if e is None:
+                    read += i + 2
+                    break
+                y = edge[e][far]
+            else:
+                read += len(keys)
+                a, b = (x0, y0), (x1, y)
+                parts.add(a)
+                parts.add(b)
+                if not parts.union(a, b):
+                    closing.append(a)
+                lifts.append((segment, y0))
+            if read > READ_BUDGET:
+                raise ReadBudgetError(
+                    f"double cosets read more than {READ_BUDGET} letters; "
+                    "the pair is too large to decompose"
+                )
     if not closing:
         return DoubleCosetDecomposition(())
 
-    cyclic = {parts.find(u) for u in closing}
-    vertices_H, vertices_K = gH.vertices, gK.vertices
-
-    def vertex(code: int) -> tuple:
-        iH, iK = divmod(code, width)
-        return (vertices_H[iH], vertices_K[iK])
-
-    edges: dict = defaultdict(dict)
-    for eH, eK, label, u, w in matched_pairs():
-        root = parts.find(u)
-        if root in cyclic:
-            edges[root][eH, eK] = (label, vertex(u), vertex(w))
-    base = code_H[gH.basepoint] + code_K[gK.basepoint]
-    entries = []
-    for members in parts.classes():
-        root = parts.find(members[0])
+    find = parts.find
+    cyclic = {find(a) for a in closing}
+    pieces: dict = defaultdict(dict)  # component root -> product edge -> record
+    for (x, _, keys), y in lifts:
+        root = find((x, y))
         if root not in cyclic:
             continue
-        piece = LabeledGraph(gH.rank, map(vertex, members), edges[root])
+        edges = pieces[root]
+        for label, direction, far in keys:
+            ex, ey = reader._dart[x, label, direction], dart[y, label, direction]
+            x_next, y_next = reader._edge[ex][far], edge[ey][far]
+            near, far_end = (x, y), (x_next, y_next)
+            if swap:
+                near, far_end, ex, ey = near[::-1], far_end[::-1], ey, ex
+            edges[ex, ey] = (label, near, far_end) if direction == OUT else (label, far_end, near)
+            x, y = x_next, y_next
+
+    anchor = None  # a vertex of the based entry's core
+    if meet_core.edge_count >= meet_core.vertex_count:
+        anchor = next(
+            (v for v in meet_core.vertices if meet_core.valence(v) >= 3), meet_core.basepoint
+        )
+    entries = []
+    for edges in pieces.values():
+        vertices = sorted({v for _, src, dst in edges.values() for v in (src, dst)})
+        piece = LabeledGraph(gH.rank, vertices, edges)
         core = trim_to_core(piece, keep_basepoint=False)
         rank = piece.edge_count - piece.vertex_count + 1
-        entries.append(DoubleCosetEntry(core, rank, based=base in members))
-    entries.sort(key=lambda entry: (not entry.based, -entry.rank))
+        entries.append(DoubleCosetEntry(core, rank, based=core.has_vertex(anchor)))
+    entries.sort(key=lambda entry: (not entry.based, -entry.rank, entry.core.vertices[0]))
     return DoubleCosetDecomposition(tuple(entries))

@@ -288,7 +288,7 @@ def _raw_fields(H: Subgroup, K: Subgroup) -> dict:
     rank_meet = meet_core.edge_count - meet_core.vertex_count + 1
     join_sub = join(H, K)
     po = topological_pushout(H, K, [meet_core])
-    cosets = double_cosets(H, K)
+    cosets = double_cosets(H, K, meet_core)
     return {
         "h": H.rank,
         "k": K.rank,
@@ -387,7 +387,7 @@ def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
 
     po, _, nf, delta, _ = matrix_pipeline(Hn, Kn, meet_core)
     _require(not po.loop_quotient_edges(), "no pushout edge closes into a loop")
-    cosets = double_cosets(Hn, Kn)
+    cosets = double_cosets(Hn, Kn, meet_core)
     multi = topological_pushout(Hn, Kn, [entry.core for entry in cosets.entries])
     return {
         "normalized": True,

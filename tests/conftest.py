@@ -1,18 +1,22 @@
 """Shared fixtures: the worked figure pair and some frequently used subgroups."""
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from stallings import (
     RANK2,
+    DoubleCosetDecomposition,
+    DoubleCosetEntry,
     LabeledGraph,
     TrivialIntersectionError,
     based_meet_core,
     subgroup_graph,
     three_regularize,
+    trim_to_core,
 )
-from stallings.graphs import based_product
+from stallings.graphs import DisjointSet, based_product
 from stallings.verify import _stem_word
 
 
@@ -46,6 +50,42 @@ def wedge(g1, g2):
         edges[(1, eid)] = (label, map2[src], map2[dst])
     graph = LabeledGraph(g1.rank, vertices, edges, basepoint=(0, g1.basepoint))
     return graph, map1, map2
+
+
+def matched_pair_double_cosets(H, K):
+    """The double cosets by union-find over every label-matched edge pair of
+    the two cores, each pair being a product edge: the components that
+    close a cycle, trimmed to unbased cores.  Kept as an oracle for the
+    decomposition, which reads segments between branch vertices instead."""
+    gH, gK = H.graph, K.graph
+    matched = [
+        ((eH, eK), label, (sH, sK), (dH, dK))
+        for eH, label, sH, dH in gH.edges()
+        for eK, label_K, sK, dK in gK.edges()
+        if label == label_K
+    ]
+    parts = DisjointSet()
+    closing = []
+    for _, _, u, w in matched:
+        parts.add(u)
+        parts.add(w)
+        if not parts.union(u, w):
+            closing.append(u)
+    cyclic = {parts.find(u) for u in closing}
+    pieces = defaultdict(dict)
+    for eid, label, u, w in matched:
+        if parts.find(u) in cyclic:
+            pieces[parts.find(u)][eid] = (label, u, w)
+    base = (gH.basepoint, gK.basepoint)
+    entries = []
+    for root, edges in pieces.items():
+        vertices = sorted({v for _, u, w in edges.values() for v in (u, w)})
+        piece = LabeledGraph(gH.rank, vertices, edges)
+        rank = piece.edge_count - piece.vertex_count + 1
+        based = base in parts.parent and parts.find(base) == root
+        entries.append(DoubleCosetEntry(trim_to_core(piece, keep_basepoint=False), rank, based))
+    entries.sort(key=lambda entry: (not entry.based, -entry.rank))
+    return DoubleCosetDecomposition(tuple(entries))
 
 
 def _has_extremal_vertex(graph):

@@ -290,6 +290,16 @@ def test_check_exit_two_on_verdict_failure(monkeypatch):
     assert "overall: FAIL" in out
 
 
+def test_check_exits_one_when_the_double_cosets_pass_their_budget(monkeypatch):
+    import stallings.products
+
+    monkeypatch.setattr(stallings.products, "READ_BUDGET", 3)
+    code, out, err = invoke("check", SMALL_H, SMALL_K)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: double cosets read more than 3 letters")
+
+
 # -- corpus --------------------------------------------------------------------------
 
 

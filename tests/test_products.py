@@ -14,8 +14,10 @@ from stallings import (
     RIGHT,
     LabeledGraph,
     RANK2,
+    ReadBudgetError,
     Word,
     based_meet_core,
+    check_instance,
     check_squares_construction,
     double_cosets,
     embed_into_rank2,
@@ -29,7 +31,7 @@ from stallings import (
     topological_pushout,
     trim_to_core,
 )
-from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, random_subgroup
+from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, _random_reduced_word, random_subgroup
 from stallings.words import generator_squares
 
 import stallings.products
@@ -38,6 +40,7 @@ from conftest import (
     FIGURE_MEET_WORD,
     FIGURE_RIGHT,
     make,
+    matched_pair_double_cosets,
     stepwise_nonextremal,
     wedge,
 )
@@ -330,6 +333,12 @@ def test_join_matches_the_folded_wedge(seed, kind, rank):
     assert res.right_vertex_map == right
 
 
+def test_join_leaves_the_right_factors_stars_uncached():
+    H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
+    assert join(H, K).rank == 2
+    assert K.graph._stars == {}
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_join_reads_a_subgroup_without_laying_an_edge(monkeypatch, seed):
     """join(H, H), and join(H, K) with K <= H, hand the fold H's core alone:
@@ -594,6 +603,102 @@ def test_double_cosets_match_the_dense_product(seed, kind):
         for e in d.entries
     )
     assert sparse_pieces == Counter((vs, es) for _, _, vs, es in dense)
+
+
+def _coset_pair(seed, kind, rank):
+    """A pair of one of the join's kinds, or: a circle against a random
+    factor, a factor with a one-edge loop at a branch vertex (hung from a
+    stem half the time), or the whole group against a random factor."""
+    rng = random.Random(seed)
+    A = Alphabet(rank)
+    if kind not in ("circle", "loop_at_branch", "whole"):
+        return _join_pair(seed, kind, rank)
+    K = random_subgroup(rng, rng.randint(1, 3), 6, A)
+    if kind == "circle":
+        return random_subgroup(rng, 1, 8, A), K
+    if kind == "whole":
+        return subgroup_graph([Word(A, [i]) for i in range(1, rank + 1)], A), K
+    gens = [Word(A, [rng.choice([1, 2])])]
+    gens += random_subgroup(rng, rng.randint(1, 2), 6, A).generators
+    if rng.random() < 0.5:
+        stem = random_subgroup(rng, 1, 4, A).generators[0]
+        gens = [w.conj(stem) for w in gens]
+    return subgroup_graph(gens, A), K
+
+
+def _coset_pieces(d):
+    """Each entry as (rank, based, sorted vertices, sorted edges, unbased)."""
+    return sorted(
+        (e.rank, e.based, sorted(e.core.vertices), sorted(e.core.edges()), e.core.basepoint is None)
+        for e in d.entries
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        ["random", "trivial", "equal", "sub", "stem", "normalized", "circle", "loop_at_branch", "whole"]
+    ),
+    st.integers(2, 3),
+    st.booleans(),
+)
+def test_double_cosets_match_the_matched_pair_oracle(seed, kind, rank, swap):
+    """Reading segments finds the entries that union-find over every
+    label-matched edge pair finds, whichever factor is read."""
+    H, K = _coset_pair(seed, kind, rank)
+    if swap:
+        H, K = K, H
+    d, oracle = double_cosets(H, K), matched_pair_double_cosets(H, K)
+    assert d.ranks == oracle.ranks
+    assert [e.based for e in d.entries] == [e.based for e in oracle.entries]
+    assert _coset_pieces(d) == _coset_pieces(oracle)
+    assert double_cosets(H, K, based_meet_core(H, K)) == d
+
+
+def test_double_cosets_refuse_a_pair_past_the_read_budget(monkeypatch):
+    """Past the budget the pair is an error, never a verdict."""
+    H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
+    monkeypatch.setattr(stallings.products, "READ_BUDGET", 5)
+    with pytest.raises(ReadBudgetError, match="more than 5 letters"):
+        double_cosets(H, K)
+    with pytest.raises(ReadBudgetError):
+        check_instance(H, K)
+
+
+def test_check_instance_walks_no_product_for_the_double_cosets(monkeypatch):
+    """check_instance hands double_cosets the meet core it already holds."""
+    import stallings.graphs
+    import stallings.verify
+
+    walked = []
+    real_product, real_cosets = stallings.graphs.based_product, stallings.verify.double_cosets
+
+    def counting(g1, g2):
+        walked.append((g1, g2))
+        return real_product(g1, g2)
+
+    def cosets(*args):
+        before = len(walked)
+        result = real_cosets(*args)
+        assert len(walked) == before
+        return result
+
+    for module in (stallings.products, stallings.verify):
+        monkeypatch.setattr(module, "based_product", counting)
+    monkeypatch.setattr(stallings.verify, "double_cosets", cosets)
+    report = check_instance(make(*FIGURE_LEFT), make(*FIGURE_RIGHT))
+    assert report.normalized and walked
+
+
+def test_double_cosets_of_a_long_self_pair():
+    """H = K on three random 400-letter generators: one double coset, the
+    based one, of rank 3."""
+    rng = random.Random(400)
+    H = subgroup_graph([_random_reduced_word(rng, 400, RANK2) for _ in range(3)], RANK2)
+    d = double_cosets(H, H)
+    assert d.ranks == (3,) and d.entries[0].based
+    assert check_instance(H, H).double_coset_ranks == (3,)
 
 
 # -- isolated vertices --------------------------------------------------------------

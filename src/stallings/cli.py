@@ -245,7 +245,7 @@ def _cmd_pushout(args, stdout, stderr) -> int:
         "chi_join": joined.graph.chi,
         "star_class_count": po.star_classes().count,
         "special_vertex_count": len(po.special_vertices()),
-        "folds_to_join": po.folded_core() == joined.graph,
+        "folds_to_join": po.refolds_to(joined.graph),
     }
     if args.json:
         print(json.dumps(data, sort_keys=True), file=stdout)

@@ -89,12 +89,12 @@ def _from_core_form(
         raise ValueError("a subgroup core must be properly labeled")
     # the walk that numbers the canonical form reaches every vertex exactly
     # when the core is connected
-    numbering = graph._number_from(graph.basepoint)
-    if len(numbering) != graph.vertex_count:
+    walk = graph._walk_from(graph.basepoint)
+    if len(walk[0]) != graph.vertex_count:
         raise ValueError("a subgroup core must be connected")
     if not graph.is_core():
         raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
-    form = graph._renumbered(numbering, based=True)
+    form = graph._canonical_form(*walk, based=True)
     canon = form.graph
     sub = Subgroup(alphabet, (), canon)
     gens = tuple(generators) if generators is not None else tuple(basis(sub))

@@ -101,7 +101,10 @@ class DisjointSet:
         return root
 
     def union(self, a: Hashable, b: Hashable) -> bool:
-        """Merge the classes of ``a`` and ``b``; False when already one class."""
+        """Merge the classes of ``a`` and ``b``, adding either that is new;
+        False when already one class."""
+        self.parent.setdefault(a, a)
+        self.parent.setdefault(b, b)
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
@@ -349,48 +352,56 @@ class LabeledGraph:
 
     # -- canonical form ------------------------------------------------------------
 
-    def _number_from(self, start: Hashable) -> dict:
-        """BFS numbering from ``start`` in (label, out-then-in) dart order."""
+    def _walk_from(self, start: Hashable) -> tuple[dict, dict, dict]:
+        """BFS from ``start`` over the dart index, by label, outgoing first:
+        the numbering of the vertices reached, their edges renumbered as
+        ``{k: (label, i, j)}`` in sorted order (each is emitted at its
+        outgoing dart, and a properly labeled graph has one edge per
+        (source, label)), and the edge map."""
+        dart, edge = self._dart, self._edge
+        labels = range(self.rank)
         number = {start: 0}
         order = [start]
-        for v in order:  # order grows while it is walked
-            for _, _, w in self.darts(v):
-                if w not in number:
-                    number[w] = len(order)
-                    order.append(w)
-        return number
+        edges, edge_map = {}, {}
+        for i, v in enumerate(order):  # order grows while it is walked
+            for label in labels:
+                e = dart.get((v, label, OUT))
+                if e is not None:
+                    w = edge[e][2]
+                    j = number.get(w)
+                    if j is None:
+                        j = number[w] = len(order)
+                        order.append(w)
+                    edge_map[e] = len(edges)
+                    edges[len(edges)] = (label, i, j)
+                e = dart.get((v, label, IN))
+                if e is not None and edge[e][1] not in number:
+                    number[edge[e][1]] = len(order)
+                    order.append(edge[e][1])
+        return number, edges, edge_map
 
-    def _encode_from(self, start: Hashable, comp: list) -> tuple[dict, tuple]:
-        """The numbering from ``start`` and the sorted edge code it gives."""
-        number = self._number_from(start)
-        if len(number) != len(comp):
-            raise ValueError("component not connected under traversal")
-        encoded = sorted(
-            (number[src], label, number[dst])
-            for _, (label, src, dst) in self._edge.items()
-            if src in number
-        )
-        return number, tuple(encoded)
-
-    def _numbering_by_code(self, anchor: Hashable | None) -> dict:
-        """Number the components one after another: the anchor's first,
-        then the rest by edge code."""
-        encoded = []
+    def _walk_by_code(self, anchor: Hashable | None) -> tuple[dict, dict, dict]:
+        """Walk the components one after another, the anchor's first, then
+        the rest by edge code, and concatenate the walks."""
+        walks = []
         for comp in self.components():
             based = anchor is not None and anchor in comp
-            if based:
-                numbering, code = self._encode_from(anchor, comp)
-            else:  # the first start with the least code wins ties
-                starts = (self._encode_from(start, comp) for start in comp)
-                numbering, code = min(starts, key=lambda t: t[1])
-            encoded.append(((not based, code), numbering))
-        encoded.sort(key=lambda t: t[0])
-        vertex_map: dict = {}
-        for _, numbering in encoded:
-            offset = len(vertex_map)
-            for v, n in numbering.items():
-                vertex_map[v] = offset + n
-        return vertex_map
+            # the first start with the least (source, label, target) code wins ties
+            starts = [anchor] if based else comp
+            coded = (((not based, tuple((i, a, j) for a, i, j in w[1].values())), w)
+                     for w in map(self._walk_from, starts))
+            key, walk = min(coded, key=lambda t: t[0])
+            if len(walk[0]) != len(comp):
+                raise ValueError("component not connected under traversal")
+            walks.append((key, walk))
+        walks.sort(key=lambda t: t[0])
+        number, edges, edge_map = {}, {}, {}
+        for _, (numbering, walked, emap) in walks:
+            n, m = len(number), len(edges)
+            number.update((v, n + i) for v, i in numbering.items())
+            edges.update((m + k, (label, n + i, n + j)) for k, (label, i, j) in walked.items())
+            edge_map.update((e, m + k) for e, k in emap.items())
+        return number, edges, edge_map
 
     def canonical(self, *, based: bool = True) -> CanonicalForm:
         """Deterministic relabeling: vertices 0..n-1, edges 0..m-1.
@@ -398,32 +409,23 @@ class LabeledGraph:
         Two properly labeled graphs are isomorphic (respecting basepoints when
         ``based``) exactly when their canonical forms are equal.  A based
         graph that the walk from its basepoint covers is numbered by that
-        walk alone; edge codes are built only where they are compared, to
-        order several components or to pick the start of an unbased one.
+        walk alone; edge codes are compared only to order several
+        components or to pick the start of an unbased one.
         """
         if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
         anchor = self.basepoint if based else None
-        vertex_map = None if anchor is None else self._number_from(anchor)
-        if vertex_map is None or len(vertex_map) != len(self._vertex_order):
-            vertex_map = self._numbering_by_code(anchor)
-        return self._renumbered(vertex_map, based=based)
+        walk = None if anchor is None else self._walk_from(anchor)
+        if walk is None or len(walk[0]) != len(self._vertex_order):
+            walk = self._walk_by_code(anchor)
+        return self._canonical_form(*walk, based=based)
 
-    def _renumbered(self, vertex_map: dict, *, based: bool) -> CanonicalForm:
-        """The canonical form that ``vertex_map``, the canonical numbering of
-        every vertex of this properly labeled graph, gives."""
-        # no two edges of a properly labeled graph share (source, label, target)
-        ordered_edges = sorted(
-            (vertex_map[src], label, vertex_map[dst], eid)
-            for eid, (label, src, dst) in self._edge.items()
-        )
-        edge_map = {eid: i for i, (_, _, _, eid) in enumerate(ordered_edges)}
-        edges = {i: (label, src, dst) for i, (src, label, dst, _) in enumerate(ordered_edges)}
-        bp = None
-        if based and self.basepoint is not None:
-            bp = vertex_map[self.basepoint]
-        graph = LabeledGraph(self.rank, range(len(vertex_map)), edges, basepoint=bp)
-        return CanonicalForm(graph, vertex_map, edge_map)
+    def _canonical_form(self, number: dict, edges: dict, edge_map: dict, *, based: bool):
+        """The canonical form a walk covering this properly labeled graph
+        gives, built by the validating constructor."""
+        bp = number[self.basepoint] if based and self.basepoint is not None else None
+        graph = LabeledGraph(self.rank, range(len(number)), edges, basepoint=bp)
+        return CanonicalForm(graph, number, edge_map)
 
     def isomorphic(self, other: "LabeledGraph", *, based: bool = True) -> bool:
         return self.canonical(based=based).graph == other.canonical(based=based).graph

@@ -246,8 +246,15 @@ class PushoutResult:
 
     def folded_core(self) -> LabeledGraph:
         """Fold and trim the quotient; lands on the join's core."""
-        folded = fold_to_immersion(self.graph).graph
-        return trim_to_core(folded).canonical().graph
+        return trim_to_core(fold_to_immersion(self.graph).graph).canonical().graph
+
+    def refolds_to(self, core: LabeledGraph) -> bool:
+        """Whether :meth:`folded_core` equals the canonical subgroup core
+        ``core``, checked on one walk of the folded quotient."""
+        g = trim_to_core(fold_to_immersion(self.graph).graph)
+        number, edges, _ = g._walk_from(g.basepoint)
+        return (len(number) == g.vertex_count == core.vertex_count and g.rank == core.rank
+                and core.basepoint == 0 and edges == core._edge)
 
 
 def topological_pushout(
@@ -263,64 +270,50 @@ def topological_pushout(
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
-    sides = ((LEFT, gH), (RIGHT, gK))
-    # tagged vertices and edges are coded by their rank in sorted order, so
-    # numbering the classes by least member numbers them by least code
-    vertices = [(side, v) for side, graph in sides for v in sorted(graph.vertices)]
-    edges = [(side, *rest) for side, graph in sides for rest in sorted(graph.edges())]
-    vertex_code = {tagged: code for code, tagged in enumerate(vertices)}
-    edge_code = {(side, e): code for code, (side, e, _, _, _) in enumerate(edges)}
-    vparts = DisjointSet(range(len(vertices)))
-    eparts = DisjointSet(range(len(edges)))
-
+    # subgroup cores are canonically numbered, so a left vertex or edge is
+    # coded by its id and a right one by its id past the left's
+    n_H, m_H = gH.vertex_count, gH.edge_count
+    vparts, eparts = DisjointSet(), DisjointSet()
     star_seeds = []
     for core in cores:
         for v in core.vertices:
             vH, vK = v
-            left, right = (LEFT, vH), (RIGHT, vK)
-            if left not in vertex_code or right not in vertex_code:
+            if not (gH.has_vertex(vH) and gK.has_vertex(vK)):
                 raise ValueError(f"core vertex {v!r} does not project into both factors")
-            vparts.union(vertex_code[left], vertex_code[right])
+            vparts.union(vH, n_H + vK)
             if core.valence(v) == 3:
-                star_seeds.append((left, right))
+                star_seeds.append(((LEFT, vH), (RIGHT, vK)))
         for eid, label, src, dst in core.edges():
             eH, eK = eid
-            for side_graph, e, s, d in (
-                (gH, eH, src[0], dst[0]),
-                (gK, eK, src[1], dst[1]),
+            if (
+                gH._edge.get(eH) != (label, src[0], dst[0])
+                or gK._edge.get(eK) != (label, src[1], dst[1])
             ):
-                try:
-                    got = side_graph.edge(e)
-                except KeyError:
-                    got = None
-                if got != (label, s, d):
-                    raise ValueError(
-                        f"core edge {eid!r} does not commute with the projections"
-                    )
-            eparts.union(edge_code[LEFT, eH], edge_code[RIGHT, eK])
+                raise ValueError(f"core edge {eid!r} does not commute with the projections")
+            eparts.union(eH, m_H + eK)
 
-    find_v, find_e = vparts.find, eparts.find
-    vertex_index: dict = {}  # vertex class root -> quotient vertex
-    vertex_class = {
-        tagged: vertex_index.setdefault(find_v(code), len(vertex_index))
-        for code, tagged in enumerate(vertices)
-    }
-    edge_index: dict = {}  # edge class root -> quotient edge
-    edge_class = {}
+    def classes(parts, count):
+        """Each code's class, numbered in code order (so by least code)."""
+        parent, find, index = parts.parent, parts.find, {}
+        return [index.setdefault(find(c) if c in parent else c, len(index)) for c in range(count)]
+
+    vertex_index = classes(vparts, n_H + gK.vertex_count)
+    edge_index = classes(eparts, m_H + gK.edge_count)
+    vertex_class, edge_class = {}, {}
     quotient_edges: dict = {}  # quotient edge -> the record of its first member
-    for code, (side, e, label, src, dst) in enumerate(edges):
-        index = edge_class[side, e] = edge_index.setdefault(find_e(code), len(edge_index))
-        record = (label, vertex_class[side, src], vertex_class[side, dst])
-        if quotient_edges.setdefault(index, record) != record:
-            raise ValueError("identified edges disagree on label or endpoints")
+    for side, graph, n, m in ((LEFT, gH, 0, 0), (RIGHT, gK, n_H, m_H)):
+        for v in range(graph.vertex_count):
+            vertex_class[side, v] = vertex_index[n + v]
+        for e in range(graph.edge_count):
+            label, src, dst = graph._edge[e]
+            index = edge_class[side, e] = edge_index[m + e]
+            record = (label, vertex_index[n + src], vertex_index[n + dst])
+            if quotient_edges.setdefault(index, record) != record:
+                raise ValueError("identified edges disagree on label or endpoints")
 
-    basepoint = vertex_class[(LEFT, gH.basepoint)]
-    graph = LabeledGraph(
-        gH.rank, range(len(vertex_index)), quotient_edges, basepoint=basepoint
-    )
-    return PushoutResult(
-        gH, gK, graph, vertex_class, edge_class, star_seeds=tuple(star_seeds)
-    )
+    basepoint = vertex_class[LEFT, gH.basepoint]
+    graph = LabeledGraph(gH.rank, range(max(vertex_index) + 1), quotient_edges, basepoint=basepoint)
+    return PushoutResult(gH, gK, graph, vertex_class, edge_class, star_seeds=tuple(star_seeds))
 
 
 # -- double cosets -----------------------------------------------------------------
@@ -348,12 +341,24 @@ class ReadBudgetError(ValueError):
     """:func:`double_cosets` read more than :data:`READ_BUDGET` letters."""
 
 
-#: Letters :func:`double_cosets` may read before it refuses a pair.  The
-#: most read for one pair of ``fuzz --count 2000 --seed 0`` (either mode),
-#: ``corpus`` or either benchmark workload is about 1,000, and 219,541 for
-#: the self pair of three 3,000-letter generators; the limit is over a
-#: hundred times that.  A refused pair is an error, never a verdict.
+#: Letters :func:`double_cosets` may read before it refuses a pair, each
+#: lift held and each product edge laid counting as :data:`HELD_WEIGHT`
+#: letters.  A held lift takes about 150 bytes and a laid edge, with the
+#: graphs built on it, about 750, so the budget bounds memory as well as
+#: time: of the kernels of F2 -> Z/n, the pair nearest the limit (n = 470)
+#: peaks at about 400 MB.  The most counted for one pair of ``fuzz --count
+#: 2000 --seed 0`` (either mode), ``corpus`` or either benchmark workload is
+#: about 7,000, and 1.43M for the self pair of three 3,000-letter
+#: generators.  A refused pair is an error, never a verdict.
 READ_BUDGET = 30_000_000
+HELD_WEIGHT = 32
+
+
+def _over_budget() -> ReadBudgetError:
+    return ReadBudgetError(
+        f"double cosets read more than {READ_BUDGET} letters (a held lift or a "
+        f"laid edge counting as {HELD_WEIGHT}); the pair is too large to decompose"
+    )
 
 
 def _segments(g: LabeledGraph) -> list:
@@ -424,8 +429,9 @@ def double_cosets(
     the (branch vertex, vertex reached) pairs at its two ends in a
     union-find; the components that close a cycle are laid out edge by
     edge and trimmed.  The side read is the one with the smaller rank ×
-    (other side's vertex count).  Raises :class:`ReadBudgetError` past
-    :data:`READ_BUDGET` letters read.
+    (other side's vertex count).  Raises :class:`ReadBudgetError` once the
+    letters read, lifts held and edges to lay pass :data:`READ_BUDGET`; the
+    layout is counted before it is laid.
     """
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
@@ -455,23 +461,22 @@ def double_cosets(
                     break
                 y = edge[e][far]
             else:
-                read += len(keys)
-                a, b = (x0, y0), (x1, y)
-                parts.add(a)
-                parts.add(b)
-                if not parts.union(a, b):
+                read += len(keys) + HELD_WEIGHT
+                a = (x0, y0)
+                if not parts.union(a, (x1, y)):
                     closing.append(a)
                 lifts.append((segment, y0))
             if read > READ_BUDGET:
-                raise ReadBudgetError(
-                    f"double cosets read more than {READ_BUDGET} letters; "
-                    "the pair is too large to decompose"
-                )
+                raise _over_budget()
     if not closing:
         return DoubleCosetDecomposition(())
 
     find = parts.find
     cyclic = {find(a) for a in closing}
+    # the layout is counted before it is laid
+    laid = sum(len(keys) for (x, _, keys), y in lifts if find((x, y)) in cyclic)
+    if read + HELD_WEIGHT * laid > READ_BUDGET:
+        raise _over_budget()
     pieces: dict = defaultdict(dict)  # component root -> product edge -> record
     for (x, _, keys), y in lifts:
         root = find((x, y))

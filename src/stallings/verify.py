@@ -297,7 +297,7 @@ def _raw_fields(H: Subgroup, K: Subgroup) -> dict:
         "chi_T": po.chi,
         "chi_join": join_sub.graph.chi,
         "double_coset_ranks": cosets.ranks,
-        "pushout_refolds_to_join": po.folded_core() == join_sub.graph,
+        "pushout_refolds_to_join": po.refolds_to(join_sub.graph),
         "normalized": False,
     }
 

@@ -16,7 +16,7 @@ from stallings import (
     three_regularize,
     trim_to_core,
 )
-from stallings.graphs import DisjointSet, based_product
+from stallings.graphs import CanonicalForm, DisjointSet, based_product
 from stallings.verify import _stem_word
 
 
@@ -50,6 +50,46 @@ def wedge(g1, g2):
         edges[(1, eid)] = (label, map2[src], map2[dst])
     graph = LabeledGraph(g1.rank, vertices, edges, basepoint=(0, g1.basepoint))
     return graph, map1, map2
+
+
+def sorted_canonical(graph, *, based=True):
+    """The canonical form by sorting: number each component by a BFS over
+    its sorted darts (from the anchor, or from the start with the least
+    sorted edge code), order the components by anchor and code, then sort
+    every edge by its renumbered (source, label, target).  Kept as an oracle
+    for ``LabeledGraph.canonical``, which emits the edges in that order from
+    one walk over the dart index."""
+
+    def encode(start):
+        number = {start: 0}
+        order = [start]
+        for v in order:
+            for _, _, w in graph.darts(v):
+                if w not in number:
+                    number[w] = len(order)
+                    order.append(w)
+        code = sorted((number[s], label, number[d]) for _, label, s, d in graph.edges() if s in number)
+        return number, tuple(code)
+
+    anchor = graph.basepoint if based else None
+    encoded = []
+    for comp in graph.components():
+        is_based = anchor is not None and anchor in comp
+        starts = [anchor] if is_based else comp
+        number, code = min(map(encode, starts), key=lambda t: t[1])
+        encoded.append(((not is_based, code), number))
+    encoded.sort(key=lambda t: t[0])
+    vertex_map = {}
+    for _, number in encoded:
+        offset = len(vertex_map)
+        for v, i in number.items():
+            vertex_map[v] = offset + i
+    ordered = sorted((vertex_map[s], label, vertex_map[d], e) for e, label, s, d in graph.edges())
+    edges = {k: (label, s, d) for k, (s, label, d, _) in enumerate(ordered)}
+    edge_map = {e: k for k, (_, _, _, e) in enumerate(ordered)}
+    bp = vertex_map[graph.basepoint] if based and graph.basepoint is not None else None
+    canon = LabeledGraph(graph.rank, range(len(vertex_map)), edges, basepoint=bp)
+    return CanonicalForm(canon, vertex_map, edge_map)
 
 
 def matched_pair_double_cosets(H, K):

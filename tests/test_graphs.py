@@ -19,7 +19,7 @@ from stallings import (
 )
 from stallings.graphs import ImproperLabelingError
 
-from conftest import FIGURE_MEET_WORD, make, wedge
+from conftest import FIGURE_MEET_WORD, make, sorted_canonical, wedge
 
 
 def folded_core_of(*texts):
@@ -526,6 +526,74 @@ def test_canonical_distinguishes_basepoints():
 def test_subgroup_cores_are_already_canonical():
     g = make("a", "bab").graph
     assert g == g.canonical().graph
+
+
+def _scrambled(g, rng, basepoint):
+    """``g`` with fresh vertex and edge ids, listed in a shuffled order."""
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    rename = {v: ("v", i) for i, v in enumerate(vertices)}
+    records = list(g.edges())
+    rng.shuffle(records)
+    edges = {("e", i): (label, rename[s], rename[d]) for i, (_, label, s, d) in enumerate(records)}
+    bp = None if basepoint is None else rename[basepoint]
+    return LabeledGraph(g.rank, list(rename.values()), edges, basepoint=bp)
+
+
+@st.composite
+def canonical_cases(draw):
+    """A properly labeled graph: a random core, a core hung on a stem, a
+    double-coset core, or a disjoint union of two cores (so a basepoint
+    walk need not cover it), with ids scrambled and a drawn basepoint."""
+    from stallings import double_cosets
+    from stallings.verify import _random_reduced_word, random_subgroup
+
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "stem", "coset", "union"]))
+    H = random_subgroup(rng, rng.randint(1, 3), 6)
+    if kind == "random":
+        g = H.graph
+    elif kind == "stem":
+        g = H.conj(_random_reduced_word(rng, rng.randint(1, 4), RANK2)).graph
+    elif kind == "coset":
+        K = H if rng.random() < 0.5 else random_subgroup(rng, rng.randint(1, 3), 4)
+        entries = double_cosets(H, K).entries
+        g = rng.choice(entries).core if entries else H.graph
+    else:
+        other = H if rng.random() < 0.3 else random_subgroup(rng, rng.randint(1, 2), 4)
+        g = LabeledGraph(
+            H.graph.rank,
+            [(0, v) for v in H.graph.vertices] + [(1, v) for v in other.graph.vertices],
+            {(side, e): (label, (side, s), (side, d))
+             for side, part in ((0, H.graph), (1, other.graph))
+             for e, label, s, d in part.edges()},
+            basepoint=(0, H.graph.basepoint),
+        )
+    where = draw(st.sampled_from(["own", "any", "none"]))
+    if where == "any":
+        basepoint = rng.choice(g.vertices)
+    else:
+        basepoint = g.basepoint if where == "own" else None
+    return _scrambled(g, rng, basepoint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_cases(), st.booleans())
+def test_canonical_matches_the_sorted_renumbering(g, based):
+    got, want = g.canonical(based=based), sorted_canonical(g, based=based)
+    assert got.graph == want.graph
+    assert got.vertex_map == want.vertex_map
+    assert got.edge_map == want.edge_map
+
+
+def test_canonical_numbers_an_uncovered_basepoint_component_first():
+    # two components, the basepoint in the larger one
+    g = LabeledGraph(2, "xyz", {"p": (0, "z", "z"), "q": (0, "x", "y"), "r": (1, "y", "x")}, basepoint="x")
+    form = g.canonical()
+    assert form.vertex_map == {"x": 0, "y": 1, "z": 2}
+    assert form.edge_map == {"q": 0, "r": 1, "p": 2}
+    assert form.graph.basepoint == 0
+    assert form == sorted_canonical(g)
 
 
 def test_to_dot_output_mentions_basepoint():

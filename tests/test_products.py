@@ -15,6 +15,7 @@ from stallings import (
     LabeledGraph,
     RANK2,
     ReadBudgetError,
+    Subgroup,
     Word,
     based_meet_core,
     check_instance,
@@ -240,13 +241,13 @@ def test_join_contains_both_factors():
 def test_join_canonicalizes_its_core_once(monkeypatch):
     H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
     calls = []
-    real = LabeledGraph._renumbered  # every canonical form is built here
+    real = LabeledGraph._canonical_form  # every canonical form is built here
 
-    def counting(self, vertex_map, *, based):
+    def counting(self, number, edges, edge_map, *, based):
         calls.append(self)
-        return real(self, vertex_map, based=based)
+        return real(self, number, edges, edge_map, based=based)
 
-    monkeypatch.setattr(LabeledGraph, "_renumbered", counting)
+    monkeypatch.setattr(LabeledGraph, "_canonical_form", counting)
     J = join(H, K)
     assert len(calls) == 1
     assert calls[0].vertex_count == J.graph.vertex_count
@@ -401,6 +402,35 @@ def test_pushout_folds_to_the_join():
     ):
         po = topological_pushout(left, right, [based_meet_core(left, right)])
         assert po.folded_core() == join(left, right).graph
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_refolds_to_agrees_with_the_folded_core(seed):
+    """The one-walk refold check says what comparing canonical graphs says,
+    on the join's core and on cores that are not it."""
+    rng = random.Random(seed)
+    H = random_subgroup(rng, rng.randint(1, 3), 6)
+    K = random_subgroup(rng, rng.randint(1, 3), 6)
+    J = join(H, K).graph
+    rebased = J.with_basepoint(rng.choice(J.vertices))
+    extra_edge = (rng.randrange(J.rank), rng.choice(J.vertices), rng.choice(J.vertices))
+    negatives = (
+        random_subgroup(rng, rng.randint(1, 3), 6).graph,  # another subgroup's core
+        H.graph,
+        rebased,
+        rebased.canonical().graph,
+        LabeledGraph(J.rank, J.vertices, {**J._edge, J.edge_count: extra_edge}, basepoint=0),
+        LabeledGraph(J.rank, range(J.vertex_count + 1), J._edge, basepoint=0),
+    )
+    meet = [based_meet_core(H, K)]
+    cosets = [entry.core for entry in double_cosets(H, K).entries]
+    for cores in (meet, cosets, []):
+        po = topological_pushout(H, K, cores)
+        folded = po.folded_core()
+        for core in (J,) + negatives:
+            assert po.refolds_to(core) == (folded == core)
+    assert topological_pushout(H, K, meet).refolds_to(J)
 
 
 def test_figure_pushout_chi_gap():
@@ -664,6 +694,54 @@ def test_double_cosets_refuse_a_pair_past_the_read_budget(monkeypatch):
         double_cosets(H, K)
     with pytest.raises(ReadBudgetError):
         check_instance(H, K)
+
+
+def _kernel_onto_cyclic(n):
+    """The kernel of F2 -> Z/n (a -> 1, b -> 0): a circle of n a-edges with
+    a b-loop at every vertex, of rank n + 1."""
+    edges = {}
+    for v in range(n):
+        edges[2 * v] = (0, v, (v + 1) % n)
+        edges[2 * v + 1] = (1, v, v)
+    return Subgroup.from_core(LabeledGraph(2, range(n), edges, basepoint=0), RANK2)
+
+
+def test_double_cosets_count_held_lifts_and_laid_edges(monkeypatch):
+    """Each of the 2n² one-letter reads of H = K = the kernel of F2 -> Z/n
+    reads one letter, holds a lift and lays one edge; the lifts count while
+    they are read, and the layout is counted before it is laid."""
+    import tracemalloc
+
+    n = 30
+    H = _kernel_onto_cyclic(n)
+    reads, weight = 2 * n * n, stallings.products.HELD_WEIGHT
+    built = []
+    real_graph = stallings.products.LabeledGraph
+
+    def spying(*args, **kwargs):
+        built.append(args)
+        return real_graph(*args, **kwargs)
+
+    def peak_of_call(budget):
+        monkeypatch.setattr(stallings.products, "READ_BUDGET", budget)
+        built.clear()
+        tracemalloc.start()
+        try:
+            return double_cosets(H, H)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(stallings.products, "LabeledGraph", spying)
+    peaks = []
+    assert peak_of_call(reads * (1 + 2 * weight)).ranks == (n + 1,) * n
+    assert len(built) == n
+    with pytest.raises(ReadBudgetError, match="counting as"):
+        peak_of_call(reads * (1 + 2 * weight) - 1)
+    assert not built  # refused before its layout is built
+    assert peaks[1] < peaks[0] / 2
+    with pytest.raises(ReadBudgetError):
+        peak_of_call(reads * (1 + weight) - 1)  # refused while reading
 
 
 def test_check_instance_walks_no_product_for_the_double_cosets(monkeypatch):

@@ -24,6 +24,7 @@ from .verify import (
     check_instance,
     corpus,
     fuzz,
+    fuzz_line,
     matrix_pipeline,
 )
 from .words import Alphabet, WordSyntaxError
@@ -34,7 +35,15 @@ class CliError(Exception):
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop, and point stdout at
+        # devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
@@ -151,14 +160,19 @@ def _load_subgroup(text: str, arg_name: str) -> Subgroup:
     else:
         if not os.path.exists(stripped):
             raise CliError(f"{arg_name}: no such file: {stripped}")
-        with open(stripped, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise CliError(
-                    f"{arg_name}: invalid JSON in {stripped} "
-                    f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
-                )
+        try:
+            with open(stripped, encoding="utf-8") as handle:
+                raw = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise CliError(f"{arg_name}: cannot read {stripped}: {reason}")
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise CliError(
+                f"{arg_name}: invalid JSON in {stripped} "
+                f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
+            )
     if not isinstance(data, dict):
         raise CliError(f"{arg_name}: expected a JSON object with a generators list")
     try:
@@ -358,19 +372,17 @@ def _cmd_fuzz(args, stdout, stderr) -> int:
         checks="inequalities" if args.inequalities_only else "full",
         require_nontrivial_meet=args.nontrivial_meet,
     )
+    count = failed = 0
     try:
-        report = fuzz(config)
-    except ValueError as exc:
+        for left, right, report in fuzz(config):
+            stdout.write(fuzz_line(count, left, right, report) + "\n")
+            stdout.flush()
+            count += 1
+            failed += not report.ok
+    except ValueError as exc:  # a bad config, or a pair refused mid-stream
         raise CliError(str(exc))
-    stdout.write(report.to_json_lines())
-    summary = report.summary()
-    print(
-        f"instances: {summary['instances']}  "
-        f"violations: {len(summary['violations'])}  "
-        f"ok: {summary['ok']}",
-        file=stderr,
-    )
-    return 0 if report.ok else 2
+    print(f"instances: {count}  violations: {failed}  ok: {failed == 0}", file=stderr)
+    return 0 if failed == 0 else 2
 
 
 def _require_same_alphabet(H: Subgroup, K: Subgroup) -> None:

@@ -9,13 +9,14 @@ do not hold report ``not_applicable`` rather than a vacuous pass.
 
 The module also ships the curated fixtures (``corpus``), rank-sharpness
 witnesses, the edge-squaring construction, the fiber-class probe, and a
-deterministic fuzzing campaign whose reports serialize to JSON lines.
+deterministic fuzzing campaign that streams one JSON line per pair.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -467,80 +468,9 @@ class FuzzConfig:
     require_nontrivial_meet: bool = False
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    """Outcome of a campaign, in instance order."""
-
-    config: FuzzConfig
-    pairs: tuple[tuple[dict, dict], ...]
-    reports: tuple[InstanceReport, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(report.ok for report in self.reports)
-
-    @property
-    def violations(self) -> tuple[dict, ...]:
-        """Re-runnable fixtures for every failing instance."""
-        return tuple(
-            {
-                "index": i,
-                "left": left,
-                "right": right,
-                "failed_verdicts": list(report.failed_verdicts),
-            }
-            for i, ((left, right), report) in enumerate(zip(self.pairs, self.reports))
-            if not report.ok
-        )
-
-    @property
-    def min_slack(self) -> dict[str, int]:
-        """Smallest slack seen per verdict, over instances where it applied."""
-        out: dict[str, int] = {}
-        for report in self.reports:
-            for name, verdict in report.verdicts.items():
-                if verdict.slack is None:
-                    continue
-                if name not in out or verdict.slack < out[name]:
-                    out[name] = verdict.slack
-        return out
-
-    @property
-    def status_counts(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for report in self.reports:
-            for name, verdict in report.verdicts.items():
-                per = out.setdefault(name, {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0})
-                per[verdict.status] += 1
-        return out
-
-    def to_json_lines(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "index": i,
-                    "left": left,
-                    "right": right,
-                    "report": report.to_dict(),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for i, ((left, right), report) in enumerate(zip(self.pairs, self.reports))
-        ]
-        return "\n".join(lines) + "\n" if lines else ""
-
-    def summary(self) -> dict:
-        return {
-            "instances": len(self.reports),
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "min_slack": self.min_slack,
-        }
-
-
-def fuzz(config: FuzzConfig) -> FuzzReport:
-    """Run ``check_instance`` over a deterministic stream of random pairs."""
+def fuzz(config: FuzzConfig) -> Iterator[tuple[dict, dict, InstanceReport]]:
+    """Check ``config`` now, then yield ``(left_spec, right_spec, report)``
+    for one random pair at a time, so a campaign of any count holds one pair."""
     if config.instance_count < 0:
         raise ValueError("instance_count must be nonnegative")
     if not 1 <= config.min_generators <= config.max_generators:
@@ -551,13 +481,20 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         raise ValueError('checks must be "full" or "inequalities"')
     rng = random.Random(config.seed)
     structural = config.checks == "full"
-    pairs: list[tuple[dict, dict]] = []
-    reports: list[InstanceReport] = []
-    for _ in range(config.instance_count):
-        H, K = _random_pair(rng, config)
-        pairs.append((H.spec_dict(), K.spec_dict()))
-        reports.append(check_instance(H, K, structural=structural))
-    return FuzzReport(config=config, pairs=tuple(pairs), reports=tuple(reports))
+    pairs = (_random_pair(rng, config) for _ in range(config.instance_count))
+    return (
+        (H.spec_dict(), K.spec_dict(), check_instance(H, K, structural=structural))
+        for H, K in pairs
+    )
+
+
+def fuzz_line(index: int, left: dict, right: dict, report: InstanceReport) -> str:
+    """One line of the fuzz stream: the pair as re-runnable specs and its report."""
+    return json.dumps(
+        {"index": index, "left": left, "right": right, "report": report.to_dict()},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 def _random_pair(rng: random.Random, config: FuzzConfig) -> tuple[Subgroup, Subgroup]:

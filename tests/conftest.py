@@ -12,12 +12,13 @@ from stallings import (
     LabeledGraph,
     TrivialIntersectionError,
     based_meet_core,
+    fuzz,
     subgroup_graph,
     three_regularize,
     trim_to_core,
 )
 from stallings.graphs import CanonicalForm, DisjointSet, based_product
-from stallings.verify import _stem_word
+from stallings.verify import FAIL, NOT_APPLICABLE, PASS, _stem_word, fuzz_line
 
 
 # The hand-checked pair whose meet core wraps once around a long loop while
@@ -164,6 +165,24 @@ def stepwise_normalize(H, K):
         total = step * total
         meet_core = based_meet_core(H, K)
     return H, K, meet_core, total
+
+
+def status_counts(reports):
+    """Per verdict name, how many of ``reports`` gave it each status."""
+    counts = {}
+    for report in reports:
+        for name, verdict in report.verdicts.items():
+            per = counts.setdefault(name, {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0})
+            per[verdict.status] += 1
+    return counts
+
+
+def fuzz_text(config):
+    """The bytes ``stallings fuzz`` writes to stdout for ``config``."""
+    return "".join(
+        fuzz_line(i, left, right, report) + "\n"
+        for i, (left, right, report) in enumerate(fuzz(config))
+    )
 
 
 @pytest.fixture

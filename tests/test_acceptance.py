@@ -22,7 +22,15 @@ from stallings import (
 )
 from stallings.verify import FAIL, NOT_APPLICABLE, PASS, random_rank_two_subgroup
 
-from conftest import ACCEPTANCE_LINES, FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make
+from conftest import (
+    ACCEPTANCE_LINES,
+    FIGURE_LEFT,
+    FIGURE_MEET_WORD,
+    FIGURE_RIGHT,
+    fuzz_text,
+    make,
+    status_counts,
+)
 
 
 def announce(number: int, ok: bool, detail: str) -> None:
@@ -139,7 +147,7 @@ def test_acceptance_3_rank_two_theorem():
 def test_acceptance_4_inequality_suite():
     """2000 seeded pairs: Burns-family and coset-sum verdicts, zero failures."""
     start = time.perf_counter()
-    report = fuzz(
+    stream = fuzz(
         FuzzConfig(
             seed=20260814,
             instance_count=2000,
@@ -149,7 +157,7 @@ def test_acceptance_4_inequality_suite():
         )
     )
     watched = ("burns", "strong_burns", "particular_hnc", "coset_sum_burns")
-    counts = report.status_counts
+    counts = status_counts(report for _, _, report in stream)
     fail_total = sum(counts[name][FAIL] for name in watched)
     vacuous = [name for name in watched if counts[name][PASS] == 0]
     elapsed = time.perf_counter() - start
@@ -169,14 +177,17 @@ def test_acceptance_4_inequality_suite():
 def test_acceptance_5_structural_suite():
     """500 normalized nontrivial-meet pairs: every structural lemma holds."""
     start = time.perf_counter()
-    report = fuzz(
-        FuzzConfig(
-            seed=20260814,
-            instance_count=500,
-            checks="full",
-            require_nontrivial_meet=True,
+    reports = [
+        report
+        for _, _, report in fuzz(
+            FuzzConfig(
+                seed=20260814,
+                instance_count=500,
+                checks="full",
+                require_nontrivial_meet=True,
+            )
         )
-    )
+    ]
     watched = (
         "no_special_vertices",
         "euler_star_bound",
@@ -186,9 +197,9 @@ def test_acceptance_5_structural_suite():
         "delta_edges",
         "no_p_and_q",
     )
-    counts = report.status_counts
+    counts = status_counts(reports)
     fail_total = sum(counts[name][FAIL] for name in watched)
-    all_normalized = all(r.normalized for r in report.reports)
+    all_normalized = all(r.normalized for r in reports)
     elapsed = time.perf_counter() - start
     ok = fail_total == 0 and all_normalized
     announce(
@@ -227,11 +238,11 @@ def test_acceptance_6_squares_construction():
 def test_acceptance_7_determinism():
     """Same seed, same campaign: byte-identical JSON-lines output."""
     config = FuzzConfig(seed=99, instance_count=40, checks="full")
-    first = fuzz(config).to_json_lines()
-    second = fuzz(config).to_json_lines()
+    first = fuzz_text(config)
+    second = fuzz_text(config)
     ineq = FuzzConfig(seed=99, instance_count=40, checks="inequalities")
-    third = fuzz(ineq).to_json_lines()
-    fourth = fuzz(ineq).to_json_lines()
+    third = fuzz_text(ineq)
+    fourth = fuzz_text(ineq)
     ok = first == second and third == fourth and first != third
     announce(
         7,

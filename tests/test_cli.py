@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stallings import FuzzConfig, InstanceReport, Verdict, check_instance
+import stallings
+from stallings import FuzzConfig, InstanceReport, ReadBudgetError, Verdict, check_instance, fuzz
 from stallings.cli import run
-from stallings.verify import FAIL, FuzzReport
+from stallings.verify import FAIL
 
 from conftest import make
 
@@ -115,6 +120,17 @@ def test_missing_file_is_named():
     code, _, err = invoke("intersect", "nosuchfile.json", SMALL_K)
     assert code == 1
     assert "SPEC_H" in err and "nosuchfile.json" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_spec_file_is_an_input_error(tmp_path, kind):
+    path = tmp_path
+    if kind == "not utf-8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"generators": ["a"]} \u00e9'.encode("latin-1"))
+    code, out, err = invoke("check", SMALL_H, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: SPEC_K: cannot read {path}: ")
 
 
 def test_malformed_inline_json_reports_position():
@@ -398,15 +414,69 @@ def test_fuzz_exit_two_on_violation(monkeypatch):
     data = real.to_dict()
     data["verdicts"]["burns"] = Verdict(FAIL, -2).to_dict()
     doctored = InstanceReport.from_dict(data)
-    fake = FuzzReport(
-        config=FuzzConfig(instance_count=1),
-        pairs=((make("a", "bab").spec_dict(), make("b", "aa").spec_dict()),),
-        reports=(doctored,),
-    )
-    monkeypatch.setattr(cli_module, "fuzz", lambda config: fake)
+    pair = (make("a", "bab").spec_dict(), make("b", "aa").spec_dict())
+    monkeypatch.setattr(cli_module, "fuzz", lambda config: iter([(*pair, doctored)]))
     code, out, err = invoke("fuzz", "--count", "1")
     assert code == 2
     assert "violations: 1" in err
+
+
+def test_fuzz_writes_each_line_before_the_next_pair(monkeypatch):
+    import stallings.cli as cli_module
+
+    _, expected, _ = invoke("fuzz", "--count", "3", "--seed", "7")
+    items = list(fuzz(FuzzConfig(seed=7, instance_count=3)))
+    out = io.StringIO()
+
+    def stream(config):
+        for i, item in enumerate(items):
+            assert out.getvalue().count("\n") == i
+            yield item
+
+    monkeypatch.setattr(cli_module, "fuzz", stream)
+    assert run(["fuzz", "--count", "3"], stdout=out, stderr=io.StringIO()) == 0
+    assert out.getvalue() == expected
+
+
+def test_fuzz_error_mid_stream_keeps_the_lines_written(monkeypatch):
+    import stallings.cli as cli_module
+
+    first = next(fuzz(FuzzConfig(seed=7, instance_count=1)))
+
+    def stream(config):
+        yield first
+        raise ReadBudgetError("pair refused: too many letters read")
+
+    monkeypatch.setattr(cli_module, "fuzz", stream)
+    code, out, err = invoke("fuzz", "--count", "2")
+    assert code == 1
+    assert out.count("\n") == 1 and json.loads(out)["index"] == 0
+    assert err == "error: pair refused: too many letters read\n"
+
+
+def test_fuzz_stops_when_stdout_is_closed():
+    """A reader that leaves early (``| head -n 1``) ends the campaign: exit 1,
+    no traceback, and no more pairs drawn."""
+    src = str(Path(stallings.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["fuzz", "--count", "1000000", "--inequalities-only"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stallings.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["index"] == 0
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert code == 1
+    assert "Traceback" not in err
 
 
 # -- determinism of reporting commands ------------------------------------------------

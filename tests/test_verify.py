@@ -40,7 +40,14 @@ from stallings.verify import (
     CORPUS_PAIRS,
 )
 
-from conftest import FIGURE_LEFT, FIGURE_RIGHT, make, stepwise_normalize
+from conftest import (
+    FIGURE_LEFT,
+    FIGURE_RIGHT,
+    fuzz_text,
+    make,
+    status_counts,
+    stepwise_normalize,
+)
 
 
 # -- verdict primitives -------------------------------------------------------------
@@ -418,35 +425,42 @@ def test_fuzz_config_validation():
         fuzz(FuzzConfig(checks="everything"))
 
 
+def test_fuzz_draws_pairs_lazily():
+    """A campaign of a billion pairs yields its first pair at once."""
+    stream = fuzz(FuzzConfig(seed=1, instance_count=10**9))
+    left, right, report = next(stream)
+    assert "generators" in left and "generators" in right and report.ok
+
+
 def test_fuzz_empty_campaign():
-    report = fuzz(FuzzConfig(instance_count=0))
-    assert report.ok and report.to_json_lines() == ""
-    assert report.summary()["instances"] == 0
+    assert list(fuzz(FuzzConfig(instance_count=0))) == []
 
 
 def test_fuzz_is_deterministic():
     config = FuzzConfig(seed=42, instance_count=25)
-    assert fuzz(config).to_json_lines() == fuzz(config).to_json_lines()
+    assert fuzz_text(config) == fuzz_text(config)
 
 
 def test_fuzz_seeds_differ():
-    a = fuzz(FuzzConfig(seed=1, instance_count=10))
-    b = fuzz(FuzzConfig(seed=2, instance_count=10))
-    assert a.to_json_lines() != b.to_json_lines()
+    a = fuzz_text(FuzzConfig(seed=1, instance_count=10))
+    b = fuzz_text(FuzzConfig(seed=2, instance_count=10))
+    assert a != b
 
 
 def test_fuzz_finds_no_violations():
-    report = fuzz(FuzzConfig(seed=42, instance_count=60))
-    assert report.ok
-    assert report.violations == ()
-    assert all(slack >= 0 for slack in report.min_slack.values())
+    reports = [report for _, _, report in fuzz(FuzzConfig(seed=42, instance_count=60))]
+    assert len(reports) == 60
+    assert all(report.ok for report in reports)
+    slacks = [v.slack for r in reports for v in r.verdicts.values() if v.slack is not None]
+    assert slacks and min(slacks) >= 0
 
 
 def test_fuzz_stream_replays_identically():
     """Every streamed fixture rebuilds to a pair giving the same report."""
-    report = fuzz(FuzzConfig(seed=11, instance_count=12))
-    for line in report.to_json_lines().splitlines():
+    text = fuzz_text(FuzzConfig(seed=11, instance_count=12))
+    for i, line in enumerate(text.splitlines()):
         data = json.loads(line)
+        assert data["index"] == i
         H = subgroup_from_spec(data["left"])
         K = subgroup_from_spec(data["right"])
         again = check_instance(H, K)
@@ -454,23 +468,29 @@ def test_fuzz_stream_replays_identically():
 
 
 def test_fuzz_inequalities_mode_skips_structural():
-    report = fuzz(FuzzConfig(seed=3, instance_count=15, checks="inequalities"))
-    assert report.ok
-    assert all(not r.normalized for r in report.reports)
-    counts = report.status_counts
+    config = FuzzConfig(seed=3, instance_count=15, checks="inequalities")
+    reports = [report for _, _, report in fuzz(config)]
+    assert all(r.ok for r in reports)
+    assert all(not r.normalized for r in reports)
+    counts = status_counts(reports)
     for name in STRUCTURAL_VERDICTS:
         assert counts[name][NOT_APPLICABLE] == 15
 
 
 def test_fuzz_nontrivial_meet_mode():
-    report = fuzz(FuzzConfig(seed=6, instance_count=12, require_nontrivial_meet=True))
-    assert all(r.rank_meet >= 1 and r.normalized for r in report.reports)
-    assert report.ok
+    config = FuzzConfig(seed=6, instance_count=12, require_nontrivial_meet=True)
+    reports = [report for _, _, report in fuzz(config)]
+    assert len(reports) == 12
+    assert all(r.rank_meet >= 1 and r.normalized for r in reports)
+    assert all(r.ok for r in reports)
 
 
 def test_fuzz_status_counts_total():
-    report = fuzz(FuzzConfig(seed=9, instance_count=10))
-    for name, per in report.status_counts.items():
+    """Each verdict is counted once per pair."""
+    reports = [report for _, _, report in fuzz(FuzzConfig(seed=9, instance_count=10))]
+    counts = status_counts(reports)
+    assert set(counts) == set(VERDICT_NAMES)
+    for name, per in counts.items():
         assert sum(per.values()) == 10
 
 

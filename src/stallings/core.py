@@ -14,6 +14,7 @@ from typing import Iterable
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
+    _collector_paused,
     bouquet_of,
     fold_to_immersion,
     trim_to_core,
@@ -108,6 +109,7 @@ def _from_core_form(
     return sub, form
 
 
+@_collector_paused
 def subgroup_graph(gens: Iterable[Word | str], alphabet: Alphabet | None = None) -> Subgroup:
     """Build the subgroup generated by words (strings are parsed)."""
     parsed: list[Word] = []

@@ -11,10 +11,19 @@ well defined.
 Graphs are values: construct once, never mutate.  The folding and trimming
 operations return fresh graphs together with vertex/edge correspondence
 maps.
+
+No graph, subgroup or report refers back to what holds it, so these values
+are acyclic and reference counting frees every one of them.  Python's cyclic
+collector finds nothing to free here; it only rescans the graphs being
+built.  The entry points that build and check a pair therefore pause it
+(``_collector_paused``).  The pause is process-wide, so it assumes that no
+other thread relies on the collector meanwhile.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, NamedTuple
@@ -25,6 +34,30 @@ OUT = 1
 IN = -1
 
 _DOT_COLORS = ("black", "red2", "blue2", "forestgreen", "darkorange", "purple")
+
+
+def _collector_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector off.
+
+    Premise: graphs, subgroups and reports are acyclic values, so reference
+    counting frees them all, and a collector pass during the call would only
+    rescan live graphs.  Re-entrant: when the collector is already off, by
+    an enclosing call or by the caller, ``fn`` just runs.  Otherwise the
+    collector is turned back on when ``fn`` returns or raises.  The pause is
+    process-wide: other threads run without the collector meanwhile.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class ImproperLabelingError(ValueError):

@@ -27,7 +27,7 @@ from .core import (
     subgroup_graph,
     three_regularize,
 )
-from .graphs import IN, OUT, LabeledGraph, based_product, trim_to_core
+from .graphs import IN, OUT, LabeledGraph, _collector_paused, based_product, trim_to_core
 from .matrices import bipartite_delta, entry_sum_bound, incidence_matrix, normal_form
 from .products import (
     LEFT,
@@ -261,6 +261,7 @@ class InstanceReport:
         return InstanceReport(**values, verdicts=verdicts)
 
 
+@_collector_paused
 def check_instance(H: Subgroup, K: Subgroup, *, structural: bool = True) -> InstanceReport:
     """Evaluate every inequality and structural identity on one pair.
 
@@ -383,8 +384,6 @@ def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
         meet_core.edge_count - meet_core.vertex_count + 1 == raw["rank_meet"],
         "the meet rank is preserved",
     )
-    join_sub = join(Hn, Kn)
-    _require(join_sub.rank == raw["rank_join"], "the join rank is preserved")
 
     po, _, nf, delta, _ = matrix_pipeline(Hn, Kn, meet_core)
     _require(not po.loop_quotient_edges(), "no pushout edge closes into a loop")
@@ -398,7 +397,9 @@ def _structural_fields(H: Subgroup, K: Subgroup, raw: dict) -> dict:
         "star_class_count": nf.star_class_count,
         "entry_sum": nf.entry_sum,
         "chi_T_norm": po.chi,
-        "chi_join_norm": join_sub.graph.chi,
+        # a join core is connected, and three_regularize's injective
+        # endomorphism carries the join of the pair to the join of the images
+        "chi_join_norm": 1 - raw["rank_join"],
         "special_vertex_count": len(po.special_vertices()),
         "valence_bound_violation_count": len(po.valence_bound_violations()),
         "normal_form_violation_count": len(nf.lemma_violations),

@@ -1,5 +1,6 @@
 """The verification harness: reports, verdicts, fuzzing, fixtures, probes."""
 
+import gc
 import json
 import random
 from types import SimpleNamespace
@@ -273,6 +274,37 @@ def test_normalize_pair_matches_the_stepwise_oracle(seed, share, letters):
     assert (Hn.generators, Kn.generators) == (Ho.generators, Ko.generators)
     assert meet == meet_o
     assert Hn == three_regularize(H).conj(v) and Kn == three_regularize(K).conj(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8),
+)
+def test_normalized_join_is_the_image_of_the_join(seed, share, letters):
+    """``check_instance`` builds no normalized join: it reports
+    ``chi_join_norm`` as 1 - rank(H v K).  The join of the normalized pair
+    must be the normalized join, v * phi(H v K) * v^-1, whose core is
+    connected, so its rank and Euler characteristic are the reported ones."""
+    from stallings import Word
+
+    rng = random.Random(seed)
+    H = random_subgroup(rng, rng.randint(1, 3), 6)
+    K = random_subgroup(rng, rng.randint(1, 3), 6)
+    if share:
+        K = subgroup_graph([H.generators[0], *K.generators], RANK2)
+    g = Word(RANK2, letters)
+    H, K = H.conj(g), K.conj(g)
+    report = check_instance(H, K)
+    if not report.normalized:
+        return
+    Hn, Kn = normalize_pair(H, K)
+    v = stepwise_normalize(H, K)[3]
+    joined, joined_n = join(H, K), join(Hn, Kn)
+    assert joined_n == three_regularize(joined).conj(v)
+    assert joined_n.rank == joined.rank == report.rank_join
+    assert joined_n.graph.chi == report.chi_join_norm == report.chi_join
 
 
 def test_normalize_pair_conjugates_each_factor_at_most_once(monkeypatch):
@@ -592,3 +624,88 @@ def test_probe_single_class_when_pushout_is_already_folded():
     assert seen_already_folded > 0
     # The insufficiency of the chi filter is realized, not hypothetical.
     assert chi_equal_but_split > 0
+
+
+# -- the collector pause -------------------------------------------------------------
+
+
+def _collector_state_after(call):
+    """Whether the cyclic collector is on after ``call`` returns or raises."""
+    try:
+        call()
+    except ValueError:
+        pass
+    return gc.isenabled()
+
+
+def test_entry_points_restore_the_collector():
+    """``subgroup_graph`` and ``check_instance`` pause the collector and turn
+    it back on whether they return or raise."""
+    A3 = Alphabet(3)
+    calls = (
+        lambda: subgroup_graph(["a", "bab"], RANK2),
+        lambda: check_instance(make("a", "bab"), make("b", "aa")),
+        lambda: subgroup_graph(["a"]),  # no alphabet to parse with
+        lambda: check_instance(subgroup_graph([], RANK2), make("a")),
+        lambda: check_instance(subgroup_graph(["a"], A3), subgroup_graph(["a"], A3)),
+    )
+    assert gc.isenabled()
+    for call in calls:
+        assert _collector_state_after(call)
+
+
+def test_nested_entry_points_keep_the_collector_paused(monkeypatch):
+    """``subgroup_graph`` folds with the collector off.  Nested in
+    ``check_instance`` -> ``three_regularize``, it finds the collector off
+    and leaves it off for the outer call."""
+    from stallings import core, verify
+
+    seen = []
+
+    def recording(real):
+        def call(*args):
+            seen.append(gc.isenabled())
+            result = real(*args)
+            seen.append(gc.isenabled())
+            return result
+
+        return call
+
+    monkeypatch.setattr(core, "trim_to_core", recording(core.trim_to_core))
+    subgroup_graph(["a", "bab"], RANK2)
+    assert seen == [False] * 2 and gc.isenabled()
+    seen.clear()
+    monkeypatch.setattr(verify, "three_regularize", recording(verify.three_regularize))
+    report = check_instance(make("a", "bab"), make("a", "bab"))
+    assert report.normalized and seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_entry_points_leave_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        assert not _collector_state_after(lambda: subgroup_graph(["a", "bab"], RANK2))
+        assert not _collector_state_after(lambda: check_instance(make("a"), make("a")))
+        assert not _collector_state_after(lambda: check_instance(make("a"), subgroup_graph([], RANK2)))
+    finally:
+        gc.enable()
+
+
+def test_pipeline_leaves_no_reference_cycles():
+    """The premise of the pause: with the collector off throughout, full and
+    long-word campaigns, their JSON, and the corpus leave nothing that only
+    the cyclic collector could free.  A back reference, such as a graph that
+    points to its subgroup, would fail this."""
+    gc.collect()
+    gc.disable()
+    try:
+        for config in (
+            FuzzConfig(seed=0, instance_count=300),
+            FuzzConfig(seed=2, instance_count=40, max_word_length=48),
+        ):
+            for _, _, report in fuzz(config):
+                report.to_json()
+        corpus()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

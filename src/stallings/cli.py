@@ -369,7 +369,7 @@ def _cmd_fuzz(args, stdout, stderr) -> int:
         min_generators=args.min_rank,
         max_generators=args.max_rank,
         max_word_length=args.max_len,
-        checks="inequalities" if args.inequalities_only else "full",
+        structural=not args.inequalities_only,
         require_nontrivial_meet=args.nontrivial_meet,
     )
     count = failed = 0

@@ -64,31 +64,6 @@ class ImproperLabelingError(ValueError):
     """The operation requires a properly labeled graph."""
 
 
-@dataclass(frozen=True, slots=True)
-class GraphStats:
-    """Size and shape summary of a labeled graph."""
-
-    vertex_count: int
-    edge_count: int
-    chi: int
-    rank: int
-    branch_count: int
-    max_valence: int
-    extremal_count: int
-    component_count: int
-
-
-@dataclass(frozen=True, slots=True)
-class VertexType:
-    """The multiset of (label, direction) dart kinds in a vertex star."""
-
-    darts: tuple[tuple[int, int], ...]  # sorted (label, OUT/IN) pairs
-
-    @property
-    def valence(self) -> int:
-        return len(self.darts)
-
-
 class Traversal(NamedTuple):
     """Outcome of tracing a word: the final vertex, or the failure index."""
 
@@ -162,33 +137,25 @@ class LabeledGraph:
     the clashes alone.
     """
 
-    __slots__ = (
-        "rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_clashes",
-        "_stars",
-    )
+    __slots__ = ("rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_clashes")
 
     def __init__(
         self,
         rank: int,
         vertices: Iterable[Hashable],
-        edges,
+        edges: dict,
         basepoint: Hashable | None = None,
     ):
-        """``edges`` maps edge id -> (label, src, dst), or iterates
-        (eid, label, src, dst) tuples."""
+        """``edges`` maps edge id -> (label, src, dst)."""
         self.rank = rank
         self.basepoint = basepoint
-        if isinstance(edges, dict):
-            records = edges.items()
-        else:
-            records = ((eid, (label, src, dst)) for eid, label, src, dst in edges)
         order = dict.fromkeys(vertices)
         out: dict = {v: [] for v in order}
         inc: dict = {v: [] for v in order}
         edge_table: dict = {}
         dart: dict = {}
         clashes: set = set()
-        for eid, (label, src, dst) in records:
+        for eid, (label, src, dst) in edges.items():
             if not 0 <= label < rank:
                 raise ValueError(f"edge {eid!r} label {label} out of range for rank {rank}")
             if src not in order or dst not in order:
@@ -211,7 +178,6 @@ class LabeledGraph:
         self._dart = dart
         self._vertex_order = tuple(order)
         self._clashes = clashes  # vertices with two darts of one (label, direction)
-        self._stars: dict = {}  # vertex -> its darts, filled in by darts()
 
     # -- structure access ----------------------------------------------------
 
@@ -241,11 +207,6 @@ class LabeledGraph:
         # a loop contributes once as outgoing and once as incoming
         return len(self._out[v]) + len(self._in[v])
 
-    def vertex_type(self, v: Hashable) -> VertexType:
-        darts = [(self._edge[e][0], OUT) for e in self._out[v]]
-        darts += [(self._edge[e][0], IN) for e in self._in[v]]
-        return VertexType(tuple(sorted(darts)))
-
     def is_properly_labeled(self) -> bool:
         return not self._clashes
 
@@ -256,27 +217,26 @@ class LabeledGraph:
 
         An outgoing dart reads letter ``label + 1`` towards the edge's
         target, an incoming one ``-(label + 1)`` towards its source; a loop
-        gives both.  Darts come by label, the outgoing before the incoming.
-        Every graph walk numbers vertices in this order, which is what
-        makes canonical forms, bases and DOT output reproducible.  On an
-        improperly labeled graph darts sharing a letter keep the order
-        their edges were given in.  Each vertex's darts are sorted once,
-        on the first walk that reaches it.
+        gives both.  Darts come by label, the outgoing before the incoming,
+        read off the dart index as ``_walk_from`` reads them.  Every graph
+        walk numbers vertices in this order, which is what makes canonical
+        forms, bases and DOT output reproducible.  Needs a properly labeled
+        graph.
         """
-        star = self._stars.get(v)
-        if star is None:
-            edge = self._edge
-            star = []
-            for e in self._out[v]:
-                label, _, dst = edge[e]
-                star.append((label + 1, e, dst))
-            for e in self._in[v]:
-                label, src, _ = edge[e]
-                star.append((-label - 1, e, src))
-            # outgoing letter l sorts at 2l - 1, incoming -l at 2l
-            star.sort(key=lambda dart: 2 * dart[0] - 1 if dart[0] > 0 else -2 * dart[0])
-            star = self._stars[v] = tuple(star)
-        return star
+        if self._clashes:
+            raise ImproperLabelingError("graph is not properly labeled")
+        if v not in self._out:
+            raise KeyError(v)
+        dart, edge = self._dart, self._edge
+        star = []
+        for label in range(self.rank):
+            e = dart.get((v, label, OUT))
+            if e is not None:
+                star.append((label + 1, e, edge[e][2]))
+            e = dart.get((v, label, IN))
+            if e is not None:
+                star.append((-label - 1, e, edge[e][1]))
+        return tuple(star)
 
     def dart_edge(self, v: Hashable, label: int, direction: int) -> Hashable | None:
         """The unique edge at ``v`` with the given label and direction, if any."""
@@ -310,21 +270,6 @@ class LabeledGraph:
 
     # -- summaries -------------------------------------------------------------
 
-    def stats(self) -> GraphStats:
-        valences = [self.valence(v) for v in self._vertex_order]
-        nv, ne = len(valences), len(self._edge)
-        comps = self.components()
-        return GraphStats(
-            vertex_count=nv,
-            edge_count=ne,
-            chi=nv - ne,
-            rank=ne - nv + len(comps),
-            branch_count=sum(1 for x in valences if x >= 3),
-            max_valence=max(valences, default=0),
-            extremal_count=sum(1 for x in valences if x <= 1),
-            component_count=len(comps),
-        )
-
     @property
     def chi(self) -> int:
         return self.vertex_count - self.edge_count
@@ -337,9 +282,7 @@ class LabeledGraph:
 
     def components(self) -> list[list]:
         """Vertex lists of the connected components, each in walk order.
-
-        Needs no proper labeling, so pushout quotients are covered too.
-        """
+        Needs a properly labeled graph."""
         seen: set = set()
         comps: list[list] = []
         for v0 in self._vertex_order:
@@ -492,28 +435,21 @@ class LabeledGraph:
 
     # -- export -----------------------------------------------------------------
 
-    def to_dot(
-        self,
-        *,
-        name: str = "core",
-        alphabet: Alphabet | None = None,
-        vertex_text: dict | None = None,
-    ) -> str:
+    def to_dot(self) -> str:
         """Graphviz source with one color per label and a doubled basepoint.
 
         Properly labeled graphs are numbered from the canonical form so the
         output is reproducible; others fall back to sorted identifiers.
         """
-        alphabet = alphabet or Alphabet(self.rank)
+        alphabet = Alphabet(self.rank)
         if self.is_properly_labeled():
             vmap = self.canonical().vertex_map
         else:
             vmap = {v: i for i, v in enumerate(sorted(self._vertex_order, key=repr))}
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
+        lines = ["digraph core {", "  rankdir=LR;"]
         for v in sorted(self._vertex_order, key=lambda u: vmap[u]):
             shape = "doublecircle" if v == self.basepoint else "circle"
-            text = vertex_text.get(v, str(vmap[v])) if vertex_text else str(vmap[v])
-            lines.append(f'  {vmap[v]} [shape={shape}, label="{text}"];')
+            lines.append(f'  {vmap[v]} [shape={shape}, label="{vmap[v]}"];')
         edge_rows = sorted(
             (vmap[src], label, vmap[dst]) for _, (label, src, dst) in self._edge.items()
         )
@@ -613,17 +549,16 @@ def based_product(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     seen = {start}
     vertices = [start]
     edges: dict = {}
+    dart, edge = g2._dart, g2._edge
     for pair in vertices:  # vertices grows while it is walked
-        step = {letter: (e, w) for letter, e, w in g2.darts(pair[1])}
         for letter, e1, w1 in g1.darts(pair[0]):
-            if letter not in step:
+            forwards = letter > 0
+            label = letter - 1 if forwards else -letter - 1
+            e2 = dart.get((pair[1], label, OUT if forwards else IN))
+            if e2 is None:
                 continue
-            e2, w2 = step[letter]
-            far = (w1, w2)
-            if letter > 0:
-                edges[e1, e2] = (letter - 1, pair, far)
-            else:
-                edges[e1, e2] = (-letter - 1, far, pair)
+            far = (w1, edge[e2][2 if forwards else 1])
+            edges[e1, e2] = (label, pair, far) if forwards else (label, far, pair)
             if far not in seen:
                 seen.add(far)
                 vertices.append(far)

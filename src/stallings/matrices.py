@@ -272,8 +272,6 @@ def entry_sum_bound(h: int, k: int, ell: int, p: int, q: int) -> int:
 class BipartiteSummary:
     """Shape of the row/column pairing graph: one edge per 1-entry."""
 
-    black_count: int
-    white_count: int
     edge_count: int
     component_count: int
 
@@ -299,8 +297,6 @@ def bipartite_delta(M: IncidenceMatrix, nf: NormalForm | None = None) -> Biparti
         raise ValueError("one pairing edge per 1-entry needs matrix entries of 0 or 1")
     components = len(parts.classes())
     return BipartiteSummary(
-        black_count=rows,
-        white_count=cols,
         edge_count=edges,
         component_count=components,
     )

@@ -78,7 +78,6 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
     dart, edge = gH._dart, gH._edge
-    out_K, in_K, edge_K = gK._out, gK._in, gK._edge
     # subgroup cores are canonically numbered 0..n-1, so laid ids follow H's
     edges = dict(edge)
     next_vertex = gH.vertex_count
@@ -88,15 +87,12 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
     done: set = set()  # K edges read
     for v in order:  # order grows while it is walked
         x = place[v]
-        # K's stars come off its edge lists: walking darts() would keep every
-        # star of K cached for the life of the subgroup
-        for e, direction in [(e, OUT) for e in out_K[v]] + [(e, IN) for e in in_K[v]]:
+        for letter, e, w in gK.darts(v):
             if e in done:
                 continue
             done.add(e)
-            label, src, dst = edge_K[e]
-            w, letter = (dst, label + 1) if direction == OUT else (src, -label - 1)
-            held = dart.get((x, label, direction))
+            label = abs(letter) - 1
+            held = dart.get((x, label, OUT if letter > 0 else IN))
             y = laid.get((x, letter)) if held is None else edge[held][2 if letter > 0 else 1]
             z = place.get(w)
             if z is None:
@@ -138,8 +134,6 @@ class StarClassSummary:
     count: int
     # tagged (side, vertex) -> class index
     assignment: dict
-    # class index -> tagged members
-    members: tuple[tuple, ...]
     # quotient vertex -> class indices of the stars mapping onto it
     by_quotient_vertex: dict
 
@@ -198,19 +192,14 @@ class PushoutResult:
         for a, b in self.star_seeds:
             if a in parts.parent and b in parts.parent:
                 parts.union(a, b)
-        assignment = {}
-        members = []
-        for index, tagged_list in enumerate(sorted(parts.classes())):
-            members.append(tuple(tagged_list))
-            for tagged in tagged_list:
-                assignment[tagged] = index
+        classes = sorted(parts.classes())
+        assignment = {tagged: index for index, members in enumerate(classes) for tagged in members}
         by_vertex: dict = defaultdict(set)
         for tagged, index in assignment.items():
             by_vertex[self.vertex_class[tagged]].add(index)
         self._star_classes = StarClassSummary(
-            count=len(members),
+            count=len(classes),
             assignment=assignment,
-            members=tuple(members),
             by_quotient_vertex={z: tuple(sorted(s)) for z, s in by_vertex.items()},
         )
         return self._star_classes

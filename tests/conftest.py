@@ -53,28 +53,47 @@ def wedge(g1, g2):
     return graph, map1, map2
 
 
+def sorted_stars(graph):
+    """Each vertex's darts as ``LabeledGraph.darts`` gives them, (signed
+    letter, edge id, far end) triples, got by sorting the edge records by
+    label, the outgoing dart first.  Kept as an oracle for ``darts``, which
+    reads the dart index instead."""
+    stars = {v: [] for v in graph.vertices}
+    for e, label, s, d in graph.edges():
+        stars[s].append((label + 1, e, d))
+        stars[d].append((-label - 1, e, s))
+    return {v: tuple(sorted(star, key=lambda dart: (abs(dart[0]), dart[0] < 0))) for v, star in stars.items()}
+
+
 def sorted_canonical(graph, *, based=True):
     """The canonical form by sorting: number each component by a BFS over
     its sorted darts (from the anchor, or from the start with the least
     sorted edge code), order the components by anchor and code, then sort
     every edge by its renumbered (source, label, target).  Kept as an oracle
     for ``LabeledGraph.canonical``, which emits the edges in that order from
-    one walk over the dart index."""
+    one walk over the dart index; the stars and components come from
+    ``sorted_stars``, not from the graph's own walks."""
+    stars = sorted_stars(graph)
 
     def encode(start):
         number = {start: 0}
         order = [start]
         for v in order:
-            for _, _, w in graph.darts(v):
+            for _, _, w in stars[v]:
                 if w not in number:
                     number[w] = len(order)
                     order.append(w)
         code = sorted((number[s], label, number[d]) for _, label, s, d in graph.edges() if s in number)
         return number, tuple(code)
 
+    components, seen = [], set()
+    for v in graph.vertices:
+        if v not in seen:
+            components.append(list(encode(v)[0]))
+            seen.update(components[-1])
     anchor = graph.basepoint if based else None
     encoded = []
-    for comp in graph.components():
+    for comp in components:
         is_based = anchor is not None and anchor in comp
         starts = [anchor] if is_based else comp
         number, code = min(map(encode, starts), key=lambda t: t[1])

@@ -153,7 +153,7 @@ def test_acceptance_4_inequality_suite():
             instance_count=2000,
             max_generators=4,
             max_word_length=8,
-            checks="inequalities",
+            structural=False,
         )
     )
     watched = ("burns", "strong_burns", "particular_hnc", "coset_sum_burns")
@@ -183,7 +183,7 @@ def test_acceptance_5_structural_suite():
             FuzzConfig(
                 seed=20260814,
                 instance_count=500,
-                checks="full",
+                structural=True,
                 require_nontrivial_meet=True,
             )
         )
@@ -237,10 +237,10 @@ def test_acceptance_6_squares_construction():
 
 def test_acceptance_7_determinism():
     """Same seed, same campaign: byte-identical JSON-lines output."""
-    config = FuzzConfig(seed=99, instance_count=40, checks="full")
+    config = FuzzConfig(seed=99, instance_count=40, structural=True)
     first = fuzz_text(config)
     second = fuzz_text(config)
-    ineq = FuzzConfig(seed=99, instance_count=40, checks="inequalities")
+    ineq = FuzzConfig(seed=99, instance_count=40, structural=False)
     third = fuzz_text(ineq)
     fourth = fuzz_text(ineq)
     ok = first == second and third == fourth and first != third

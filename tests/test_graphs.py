@@ -1,4 +1,4 @@
-"""Labeled graphs: bouquets, folding, trimming, stats, tracing, canonical forms."""
+"""Labeled graphs: bouquets, folding, trimming, stars, tracing, canonical forms."""
 
 import random
 
@@ -19,7 +19,7 @@ from stallings import (
 )
 from stallings.graphs import ImproperLabelingError
 
-from conftest import FIGURE_MEET_WORD, make, sorted_canonical, wedge
+from conftest import FIGURE_MEET_WORD, make, sorted_canonical, sorted_stars, wedge
 
 
 def folded_core_of(*texts):
@@ -168,7 +168,7 @@ def test_fold_overlapping_prefix():
     # a-loop and one b-loop remain at the basepoint.
     g = fold_to_immersion(bouquet_of([RANK2.word("a"), RANK2.word("ab")])).graph
     assert (g.vertex_count, g.edge_count, g.chi) == (1, 2, -1)
-    assert g.stats().rank == 2
+    assert g.edge_count - g.vertex_count + len(g.components()) == 2
 
 
 def test_fold_result_maps_cover_the_input():
@@ -336,7 +336,7 @@ def test_trim_keeps_extremal_basepoint():
     t = trim_to_core(g)
     assert (t.vertex_count, t.edge_count) == (2, 2)
     assert t.valence(t.basepoint) == 1
-    assert t.stats().extremal_count == 1
+    assert sum(1 for v in t.vertices if t.valence(v) <= 1) == 1
 
 
 def test_trim_without_basepoint_protection():
@@ -368,27 +368,24 @@ def test_trim_that_cuts_builds_a_new_graph():
 
 def test_stats_of_two_petal_rose():
     g = folded_core_of("a", "b")
-    s = g.stats()
-    assert (s.chi, s.rank, s.branch_count, s.max_valence) == (-1, 2, 1, 4)
-    assert s.component_count == 1
+    assert (g.chi, g.valence(g.basepoint)) == (-1, 4)
+    assert g.components() == [[g.basepoint]]
 
 
 def test_stats_of_point():
-    s = bouquet_of([], RANK2).stats()
-    assert (s.chi, s.rank, s.branch_count) == (1, 0, 0)
+    g = bouquet_of([], RANK2)
+    assert (g.chi, g.vertex_count, g.edge_count) == (1, 1, 0)
+    assert g.components() == [[g.basepoint]]
 
 
 def test_vertex_type_and_same_type():
-    g = folded_core_of("a", "b")
-    bp = g.basepoint
-    t = g.vertex_type(bp)
-    assert t.valence == 4
-    assert t.darts == ((0, IN), (0, OUT), (1, IN), (1, OUT))
-    h = folded_core_of("ab")
-    assert h.vertex_type(h.basepoint).darts == ((0, OUT), (1, IN))
-    k = folded_core_of("aa")
-    assert k.vertex_type(k.basepoint).darts == ((0, IN), (0, OUT))
-    assert k.vertex_type(k.basepoint) != h.vertex_type(h.basepoint)
+    # a vertex's type is the letters of its star
+    def letters(g):
+        return [letter for letter, _, _ in g.darts(g.basepoint)]
+
+    assert letters(folded_core_of("a", "b")) == [1, -1, 2, -2]
+    assert letters(folded_core_of("ab")) == [1, -2]
+    assert letters(folded_core_of("aa")) == [1, -1]
 
 
 def test_valence_counts_loops_twice():
@@ -484,11 +481,20 @@ def test_dart_edge_agrees_with_a_linear_scan(seed, count):
 
 
 def test_darts_come_by_label_outgoing_first():
-    # improperly labeled: two incoming a-darts at vertex 0
-    g = LabeledGraph(2, [0, 1], {"p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 0)})
-    assert g.darts(0) == ((1, "r", 0), (-1, "q", 1), (-1, "r", 0), (2, "p", 1))
-    assert g.darts(1) == ((1, "q", 0), (-2, "p", 0))
+    # edges given out of label order; a loop gives both of its darts
+    g = LabeledGraph(3, [0, 1], {"s": (2, 1, 1), "p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 1)})
+    assert g.darts(0) == ((1, "r", 1), (-1, "q", 1), (2, "p", 1))
+    assert g.darts(1) == ((1, "q", 0), (-1, "r", 0), (-2, "p", 0), (3, "s", 1), (-3, "s", 1))
     assert g.components() == [[0, 1]]
+
+
+def test_improper_graph_refuses_star_walks():
+    # two incoming a-darts at vertex 0
+    g = LabeledGraph(2, [0, 1], {"p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 0)})
+    with pytest.raises(ImproperLabelingError):
+        g.darts(1)
+    with pytest.raises(ImproperLabelingError):
+        g.components()
 
 
 def test_dart_edge_on_a_missing_vertex_is_a_key_error():
@@ -586,6 +592,13 @@ def test_canonical_matches_the_sorted_renumbering(g, based):
     assert got.edge_map == want.edge_map
 
 
+@settings(max_examples=200, deadline=None)
+@given(canonical_cases())
+def test_darts_match_the_sorted_edge_records(g):
+    stars = sorted_stars(g)
+    assert {v: g.darts(v) for v in g.vertices} == stars
+
+
 def test_canonical_numbers_an_uncovered_basepoint_component_first():
     # two components, the basepoint in the larger one
     g = LabeledGraph(2, "xyz", {"p": (0, "z", "z"), "q": (0, "x", "y"), "r": (1, "y", "x")}, basepoint="x")
@@ -614,7 +627,7 @@ def test_branch_excess_accounts_for_chi(seed, count):
 
     rng = random.Random(seed)
     g = random_subgroup(rng, count, 6).graph
-    if g.stats().extremal_count:
+    if any(g.valence(v) <= 1 for v in g.vertices):
         return
     excess = sum(g.valence(v) - 2 for v in g.vertices)
     assert excess == -2 * g.chi
@@ -623,6 +636,6 @@ def test_branch_excess_accounts_for_chi(seed, count):
 def test_components_cover_vertices():
     # a loop labeled a at "x" and a loop labeled b at "y"
     g = LabeledGraph(2, ["x", "y"], {0: (0, "x", "x"), 1: (1, "y", "y")})
-    assert g.stats().component_count == 2
     comps = g.components()
+    assert len(comps) == 2
     assert sorted(v for comp in comps for v in comp) == sorted(g.vertices)

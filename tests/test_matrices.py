@@ -202,7 +202,11 @@ def test_normal_form_matches_star_partition_oracle(seed):
     assert nf.star_class_count == len(oracle)
     assert nf.ell + nf.p + nf.q == len(oracle)
     assert nf.lemma_violations == ()
-    got = sorted(tuple(sorted(members)) for members in po.star_classes().members)
+    stars = po.star_classes()
+    got = sorted(
+        tuple(sorted(t for t, index in stars.assignment.items() if index == c))
+        for c in range(stars.count)
+    )
     assert got == oracle
 
 

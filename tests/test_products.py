@@ -334,12 +334,6 @@ def test_join_matches_the_folded_wedge(seed, kind, rank):
     assert res.right_vertex_map == right
 
 
-def test_join_leaves_the_right_factors_stars_uncached():
-    H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
-    assert join(H, K).rank == 2
-    assert K.graph._stars == {}
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_join_reads_a_subgroup_without_laying_an_edge(monkeypatch, seed):
     """join(H, H), and join(H, K) with K <= H, hand the fold H's core alone:
@@ -788,12 +782,19 @@ def test_squares_candidates_are_isolated_in_the_dense_product():
     H = subgroup_graph([generator_squares(RANK2.word(t)) for t in SQUARES_LEFT], RANK2)
     K = subgroup_graph([generator_squares(RANK2.word(t)) for t in SQUARES_RIGHT], RANK2)
     product = _dense_product(H, K)
+
+    def kinds(g, v):
+        """The (label, direction) kinds of the darts at ``v``, from edge records."""
+        return {(label, OUT) for _, label, s, _ in g.edges() if s == v} | {
+            (label, IN) for _, label, _, d in g.edges() if d == v
+        }
+
     a_center, b_center = {(0, OUT), (0, IN)}, {(1, OUT), (1, IN)}
     isolated = [
         (x, y)
         for x, y in product.vertices
         if product.valence((x, y)) == 0
-        and set(H.graph.vertex_type(x).darts) == a_center
-        and set(K.graph.vertex_type(y).darts) == b_center
+        and kinds(H.graph, x) == a_center
+        and kinds(K.graph, y) == b_center
     ]
     assert len(isolated) == check_squares_construction()["isolated_candidates"] == 4

@@ -8,6 +8,12 @@ with the same label; properly labeled graphs are deterministic in both
 directions, which is what makes traces, membership and canonical forms
 well defined.
 
+Each graph keeps its darts in one table: a row of ``2 * rank`` slots per
+vertex, the outgoing dart of each label before its incoming one, plus a
+clash list of the darts a row has no room for.  Walks, products, folds and
+trims read the rows directly, in slot order, which is the one dart order
+every numbering follows.
+
 Graphs are values: construct once, never mutate.  The folding and trimming
 operations return fresh graphs together with vertex/edge correspondence
 maps.
@@ -130,14 +136,17 @@ class DisjointSet:
 class LabeledGraph:
     """A finite oriented graph with edges labeled by generator indices.
 
-    Construction also builds the dart index, a table from
-    ``(vertex, label, direction)`` to edge id, and the clash set, the
-    vertices carrying two darts of one kind.  So properness is known at
-    once, :meth:`dart_edge` is a single lookup, and folding starts from
-    the clashes alone.
+    Construction also builds one row of ``2 * rank`` dart slots per vertex:
+    slot ``2 * label`` holds the first outgoing edge of that label in edge
+    order and slot ``2 * label + 1`` the first incoming one, so a loop fills
+    both slots of its label.  Every later dart of an occupied kind goes to
+    the clash list of its vertex as ``(slot, edge)``.  So properness is
+    known at once, :meth:`dart_edge` is a single index, and folding starts
+    from the clashes alone.  ``None`` marks an empty slot, so it is no edge
+    id.
     """
 
-    __slots__ = ("rank", "basepoint", "_edge", "_out", "_in", "_dart", "_vertex_order", "_clashes")
+    __slots__ = ("rank", "basepoint", "_edge", "_rows", "_vertex_order", "_clashes")
 
     def __init__(
         self,
@@ -149,35 +158,36 @@ class LabeledGraph:
         """``edges`` maps edge id -> (label, src, dst)."""
         self.rank = rank
         self.basepoint = basepoint
-        order = dict.fromkeys(vertices)
-        out: dict = {v: [] for v in order}
-        inc: dict = {v: [] for v in order}
+        width = 2 * rank
+        rows: dict = {v: [None] * width for v in vertices}
         edge_table: dict = {}
-        dart: dict = {}
-        clashes: set = set()
+        clashes: dict = {}
         for eid, (label, src, dst) in edges.items():
             if not 0 <= label < rank:
                 raise ValueError(f"edge {eid!r} label {label} out of range for rank {rank}")
-            if src not in order or dst not in order:
+            out_row, in_row = rows.get(src), rows.get(dst)
+            if out_row is None or in_row is None:
                 raise ValueError(f"edge {eid!r} endpoint missing from vertex set")
             if eid in edge_table:
                 raise ValueError(f"duplicate edge id {eid!r}")
             edge_table[eid] = (label, src, dst)
-            out[src].append(eid)
-            inc[dst].append(eid)
-            # a dart key already held by another edge is a clash at that vertex
-            if dart.setdefault((src, label, OUT), eid) is not eid:
-                clashes.add(src)
-            if dart.setdefault((dst, label, IN), eid) is not eid:
-                clashes.add(dst)
-        if basepoint is not None and basepoint not in order:
+            # a slot already held by another edge is a clash at that vertex
+            slot = 2 * label
+            if out_row[slot] is None:
+                out_row[slot] = eid
+            else:
+                clashes.setdefault(src, []).append((slot, eid))
+            slot += 1
+            if in_row[slot] is None:
+                in_row[slot] = eid
+            else:
+                clashes.setdefault(dst, []).append((slot, eid))
+        if basepoint is not None and basepoint not in rows:
             raise ValueError(f"basepoint {basepoint!r} missing from vertex set")
         self._edge = edge_table
-        self._out = out
-        self._in = inc
-        self._dart = dart
-        self._vertex_order = tuple(order)
-        self._clashes = clashes  # vertices with two darts of one (label, direction)
+        self._rows = rows
+        self._vertex_order = tuple(rows)
+        self._clashes = clashes  # vertex -> [(slot, edge)] past the first of each kind
 
     # -- structure access ----------------------------------------------------
 
@@ -194,7 +204,7 @@ class LabeledGraph:
         return len(self._edge)
 
     def has_vertex(self, v: Hashable) -> bool:
-        return v in self._out
+        return v in self._rows
 
     def edge(self, eid: Hashable) -> tuple[int, Hashable, Hashable]:
         return self._edge[eid]
@@ -204,8 +214,17 @@ class LabeledGraph:
             yield eid, label, src, dst
 
     def valence(self, v: Hashable) -> int:
-        # a loop contributes once as outgoing and once as incoming
-        return len(self._out[v]) + len(self._in[v])
+        # a loop fills both slots of its label; clashes are the darts past them
+        row = self._rows[v]
+        return len(row) - row.count(None) + len(self._clashes.get(v, ()))
+
+    def _valences(self) -> dict:
+        """:meth:`valence` of every vertex, in vertex order."""
+        width = 2 * self.rank
+        valences = {v: width - row.count(None) for v, row in self._rows.items()}
+        for v, later in self._clashes.items():
+            valences[v] += len(later)
+        return valences
 
     def is_properly_labeled(self) -> bool:
         return not self._clashes
@@ -217,35 +236,31 @@ class LabeledGraph:
 
         An outgoing dart reads letter ``label + 1`` towards the edge's
         target, an incoming one ``-(label + 1)`` towards its source; a loop
-        gives both.  Darts come by label, the outgoing before the incoming,
-        read off the dart index as ``_walk_from`` reads them.  Every graph
+        gives both.  Darts come in slot order, by label with the outgoing
+        before the incoming, as ``_walk_from`` reads them.  Every graph
         walk numbers vertices in this order, which is what makes canonical
         forms, bases and DOT output reproducible.  Needs a properly labeled
         graph.
         """
         if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
-        if v not in self._out:
-            raise KeyError(v)
-        dart, edge = self._dart, self._edge
+        edge = self._edge
         star = []
-        for label in range(self.rank):
-            e = dart.get((v, label, OUT))
+        for slot, e in enumerate(self._rows[v]):
             if e is not None:
-                star.append((label + 1, e, edge[e][2]))
-            e = dart.get((v, label, IN))
-            if e is not None:
-                star.append((-label - 1, e, edge[e][1]))
+                if slot & 1:
+                    star.append((-(slot >> 1) - 1, e, edge[e][1]))
+                else:
+                    star.append(((slot >> 1) + 1, e, edge[e][2]))
         return tuple(star)
 
     def dart_edge(self, v: Hashable, label: int, direction: int) -> Hashable | None:
         """The unique edge at ``v`` with the given label and direction, if any."""
         if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
-        e = self._dart.get((v, label, direction))
-        if e is None and v not in self._out:
-            raise KeyError(v)
-        return e
+        row = self._rows[v]
+        slot = 2 * label + (direction == IN)
+        return row[slot] if 0 <= slot < len(row) else None
 
     def step(self, v: Hashable, letter: int) -> Hashable | None:
         """Follow one signed letter from ``v``; None when unreadable."""
@@ -258,7 +273,7 @@ class LabeledGraph:
 
     def trace(self, start: Hashable, w: Word) -> Traversal:
         """Read ``w`` from ``start``; failure records the first unreadable index."""
-        if start not in self._out:
+        if start not in self._rows:
             raise ValueError(f"start vertex {start!r} not in graph")
         here = start
         for i, letter in enumerate(w.letters):
@@ -276,9 +291,7 @@ class LabeledGraph:
 
     def is_core(self) -> bool:
         """No vertex of valence <= 1 apart from the basepoint."""
-        return all(
-            self.valence(v) >= 2 for v in self._vertex_order if v != self.basepoint
-        )
+        return all(d >= 2 for v, d in self._valences().items() if v != self.basepoint)
 
     def components(self) -> list[list]:
         """Vertex lists of the connected components, each in walk order.
@@ -329,28 +342,29 @@ class LabeledGraph:
     # -- canonical form ------------------------------------------------------------
 
     def _walk_from(self, start: Hashable) -> tuple[dict, dict, dict]:
-        """BFS from ``start`` over the dart index, by label, outgoing first:
-        the numbering of the vertices reached, their edges renumbered as
+        """BFS from ``start`` over the dart rows, in slot order: the
+        numbering of the vertices reached, their edges renumbered as
         ``{k: (label, i, j)}`` in sorted order (each is emitted at its
         outgoing dart, and a properly labeled graph has one edge per
         (source, label)), and the edge map."""
-        dart, edge = self._dart, self._edge
-        labels = range(self.rank)
+        rows, edge = self._rows, self._edge
+        slots = range(0, 2 * self.rank, 2)
         number = {start: 0}
         order = [start]
         edges, edge_map = {}, {}
         for i, v in enumerate(order):  # order grows while it is walked
-            for label in labels:
-                e = dart.get((v, label, OUT))
+            row = rows[v]
+            for slot in slots:
+                e = row[slot]
                 if e is not None:
-                    w = edge[e][2]
+                    label, _, w = edge[e]
                     j = number.get(w)
                     if j is None:
                         j = number[w] = len(order)
                         order.append(w)
                     edge_map[e] = len(edges)
                     edges[len(edges)] = (label, i, j)
-                e = dart.get((v, label, IN))
+                e = row[slot + 1]
                 if e is not None and edge[e][1] not in number:
                     number[edge[e][1]] = len(order)
                     order.append(edge[e][1])
@@ -549,16 +563,19 @@ def based_product(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     seen = {start}
     vertices = [start]
     edges: dict = {}
-    dart, edge = g2._dart, g2._edge
+    rows1, edge1, rows2, edge2 = g1._rows, g1._edge, g2._rows, g2._edge
     for pair in vertices:  # vertices grows while it is walked
-        for letter, e1, w1 in g1.darts(pair[0]):
-            forwards = letter > 0
-            label = letter - 1 if forwards else -letter - 1
-            e2 = dart.get((pair[1], label, OUT if forwards else IN))
-            if e2 is None:
+        for slot, (e1, e2) in enumerate(zip(rows1[pair[0]], rows2[pair[1]])):
+            if e1 is None or e2 is None:
                 continue
-            far = (w1, edge[e2][2 if forwards else 1])
-            edges[e1, e2] = (label, pair, far) if forwards else (label, far, pair)
+            label, src1, dst1 = edge1[e1]
+            _, src2, dst2 = edge2[e2]
+            if slot & 1:
+                far = (src1, src2)
+                edges[e1, e2] = (label, far, pair)
+            else:
+                far = (dst1, dst2)
+                edges[e1, e2] = (label, pair, far)
             if far not in seen:
                 seen.add(far)
                 vertices.append(far)
@@ -580,50 +597,45 @@ class FoldResult:
 def fold_to_immersion(g: LabeledGraph) -> FoldResult:
     """Identify equally labeled edges sharing an endpoint until properly labeled.
 
-    Each vertex root a fold touches keeps a table from dart kind (label,
-    direction) to one edge; a second edge of a kind the table holds is
-    queued as a pair to identify.  Identifying a pair unions the two edges
-    and their far ends, and merging two vertices pours the smaller table
-    into the larger, queuing a pair for each kind both hold.  The queue
-    starts at the graph's clashes, in vertex order, so the work grows with
+    Each vertex root a fold touches keeps a table from dart slot to one
+    edge, started from its row and its clash list; a second edge of a slot
+    the table holds is queued as a pair to identify.  Identifying a pair
+    unions the two edges and their far ends, and merging two vertices pours
+    the smaller table into the larger, queuing a pair for each slot both
+    hold.  The queue starts at the graph's clashes, so the work grows with
     the identifications made, plus one rebuild when there is any.
     Disjoint-set partitions over vertices and edges record them; a
     surviving edge is an edge root.  Any order of folds gives the same
     quotient.
     """
-    edge, out, inc = g._edge, g._out, g._in
+    edge, rows, clashes = g._edge, g._rows, g._clashes
     vparts = DisjointSet(g._vertex_order)
     eparts = DisjointSet(edge)
     find_v, find_e = vparts.find, eparts.find  # hoisted: the loop is hot
     merged_vertices: list = []
     merged_edges: list = []
-    pairs: deque = deque()  # (held edge, edge to identify with it, direction at the shared end)
-    darts: dict = {}  # root vertex -> (label, direction) -> edge
+    pairs: deque = deque()  # (held edge, edge to identify with it, slot at the shared end)
+    darts: dict = {}  # root vertex -> slot -> edge
 
     def dart_table(v):
         table = darts.get(v)
         if table is None:  # v has absorbed nothing, so g's darts at v are all of them
-            table = darts[v] = {}
-            for direction, ids in ((OUT, out[v]), (IN, inc[v])):
-                for e in ids:
-                    held = table.setdefault((edge[e][0], direction), e)
-                    if held != e:
-                        pairs.append((held, e, direction))
+            table = darts[v] = {slot: e for slot, e in enumerate(rows[v]) if e is not None}
+            for slot, e in clashes.get(v, ()):
+                pairs.append((table[slot], e, slot))
         return table
 
-    clashes = g._clashes
-    for v in g._vertex_order:
-        if v in clashes:
-            dart_table(v)
+    for v in clashes:
+        dart_table(v)
 
     while pairs:
-        keep, drop, direction = pairs.popleft()
+        keep, drop, slot = pairs.popleft()
         keep, drop = find_e(keep), find_e(drop)
         if keep == drop:
             continue
         eparts.union(keep, drop)
         merged_edges.append(drop)
-        far = 2 if direction == OUT else 1  # the record index of the far end
+        far = 1 if slot & 1 else 2  # the record index of the far end
         t1, t2 = find_v(edge[keep][far]), find_v(edge[drop][far])
         if t1 == t2:
             continue
@@ -633,10 +645,10 @@ def fold_to_immersion(g: LabeledGraph) -> FoldResult:
         vparts.union(t1, t2)
         merged_vertices.append(t2)
         del darts[t2]
-        for kind, e in table2.items():
-            held = table1.setdefault(kind, e)
+        for slot, e in table2.items():
+            held = table1.setdefault(slot, e)
             if held != e:
-                pairs.append((held, e, kind[1]))
+                pairs.append((held, e, slot))
 
     if not merged_edges:
         folded = g
@@ -668,8 +680,8 @@ def trim_to_core(g: LabeledGraph, *, keep_basepoint: bool = True) -> LabeledGrap
     graphs, being values, allow.
     """
     protected = g.basepoint if keep_basepoint else None
-    out, inc = g._out, g._in
-    degree = {v: len(out[v]) + len(inc[v]) for v in g._vertex_order}
+    rows, clashes = g._rows, g._clashes
+    degree = g._valences()
     dead_vertices: set = set()
     dead_edges: set = set()
     queue = deque(v for v, d in degree.items() if d <= 1 and v != protected)
@@ -678,8 +690,8 @@ def trim_to_core(g: LabeledGraph, *, keep_basepoint: bool = True) -> LabeledGrap
         if v in dead_vertices or degree[v] > 1:
             continue
         dead_vertices.add(v)
-        for e in out[v] + inc[v]:
-            if e in dead_edges:
+        for e in rows[v] + [e for _, e in clashes.get(v, ())]:
+            if e is None or e in dead_edges:
                 continue
             dead_edges.add(e)
             _, src, dst = g._edge[e]

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Subgroup, _from_core_form
-from .graphs import (
-    IN,
-    OUT,
-    DisjointSet,
-    LabeledGraph,
-    based_product,
-    fold_to_immersion,
-    trim_to_core,
-)
+from .graphs import DisjointSet, LabeledGraph, based_product, fold_to_immersion, trim_to_core
 
 LEFT = 0
 RIGHT = 1
@@ -77,23 +69,26 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
-    dart, edge = gH._dart, gH._edge
+    rows, edge, rows_K, edge_K = gH._rows, gH._edge, gK._rows, gK._edge
     # subgroup cores are canonically numbered 0..n-1, so laid ids follow H's
     edges = dict(edge)
     next_vertex = gH.vertex_count
-    laid: dict = {}  # (vertex, signed letter) -> far end of the first dart laid there
+    laid: dict = {}  # (vertex, slot) -> far end of the first dart laid there
     place = {gK.basepoint: gH.basepoint}  # K vertex -> vertex of the graph read
     order = [gK.basepoint]
     done: set = set()  # K edges read
     for v in order:  # order grows while it is walked
         x = place[v]
-        for letter, e, w in gK.darts(v):
-            if e in done:
+        row = rows.get(x)  # None at a laid vertex
+        for slot, e in enumerate(rows_K[v]):
+            if e is None or e in done:
                 continue
             done.add(e)
-            label = abs(letter) - 1
-            held = dart.get((x, label, OUT if letter > 0 else IN))
-            y = laid.get((x, letter)) if held is None else edge[held][2 if letter > 0 else 1]
+            label, src, dst = edge_K[e]
+            far = 1 if slot & 1 else 2  # the record index of the far end
+            held = None if row is None else row[slot]
+            y = laid.get((x, slot)) if held is None else edge[held][far]
+            w = dst if far == 2 else src
             z = place.get(w)
             if z is None:
                 order.append(w)
@@ -104,9 +99,9 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
                 next_vertex += 1
             elif z == y:
                 continue
-            edges[len(edges)] = (label, x, z) if letter > 0 else (label, z, x)
-            laid.setdefault((x, letter), z)
-            laid.setdefault((z, -letter), x)
+            edges[len(edges)] = (label, x, z) if far == 2 else (label, z, x)
+            laid.setdefault((x, slot), z)
+            laid.setdefault((z, slot ^ 1), x)
     read = LabeledGraph(gH.rank, range(next_vertex), edges, basepoint=gH.basepoint)
     folded = fold_to_immersion(read)
     core = trim_to_core(folded.graph)
@@ -354,44 +349,38 @@ def _segments(g: LabeledGraph) -> list:
     """The maximal segments of ``g``'s unbased core between branch vertices.
 
     The stem of an extremal basepoint is dropped first.  A segment is
-    ``(start, end, keys)``, read from ``start`` by taking the dart
-    ``(label, direction)`` of each key in turn to the far end, whose index
-    in an edge record the key's third item gives.  Each segment is listed
-    once, from one end.  A core that is a circle is one segment, from and
-    to its first vertex.
+    ``(start, end, keys)``, read from ``start`` by taking, for each key
+    ``(slot, far)`` in turn, the dart in that slot to the far end, item
+    ``far`` of its edge record.  Each segment is listed once, from one end,
+    the segments at an end in slot order.  A core that is a circle is one
+    segment, from and to its first vertex.
     """
     if g.basepoint is not None and g.valence(g.basepoint) <= 1:
         g = trim_to_core(g, keep_basepoint=False)
-    edge, out, inc = g._edge, g._out, g._in
-    ends = [v for v in g.vertices if len(out[v]) + len(inc[v]) >= 3] or list(g.vertices[:1])
+    edge, rows, width = g._edge, g._rows, 2 * g.rank
+    ends = [v for v, row in rows.items() if width - row.count(None) >= 3] or list(g.vertices[:1])
     is_end = set(ends)
     taken: set = set()
     segments = []
     for x in ends:
-        for first in [(e, OUT) for e in out[x]] + [(e, IN) for e in inc[x]]:
-            if first[0] in taken:
+        for first, e in enumerate(rows[x]):
+            if e is None or e in taken:
                 continue
             keys = []
-            e, direction = first
+            slot = first
             while True:
                 taken.add(e)
-                label, src, dst = edge[e]
-                if direction == OUT:
-                    here = dst
-                    keys.append((label, OUT, 2))
-                else:
-                    here = src
-                    keys.append((label, IN, 1))
+                far = 1 if slot & 1 else 2
+                here = edge[e][far]
+                keys.append((slot, far))
                 if here in is_end:
                     break
-                # a vertex inside a segment has two darts and no loop: leave by
-                # the one that is not e's, keeping direction if it can
-                onward, back = (out[here], inc[here]) if direction == OUT else (inc[here], out[here])
-                if onward:
-                    e = onward[0]
-                else:
-                    e = back[1] if back[0] == e else back[0]
-                    direction = -direction
+                # a vertex inside a segment has two darts and no loop: leave
+                # by the one that is not the dart e arrived by
+                back = slot ^ 1
+                for slot, e in enumerate(rows[here]):
+                    if e is not None and slot != back:
+                        break
             segments.append((x, here, tuple(keys)))
     return segments
 
@@ -429,7 +418,7 @@ def double_cosets(
     gH, gK = H.graph, K.graph
     swap = K.rank * gH.vertex_count < H.rank * gK.vertex_count
     reader, target = (gK, gH) if swap else (gH, gK)
-    dart, edge = target._dart, target._edge
+    rows, edge = target._rows, target._edge
     by_label: dict = defaultdict(list)  # label -> target edges as (id, src, dst)
     for e, (label, src, dst) in edge.items():
         by_label[label].append((e, src, dst))
@@ -440,11 +429,11 @@ def double_cosets(
     read = 0
     for segment in _segments(reader):
         x0, x1, keys = segment
-        (first, forwards, _), rest = keys[0], keys[1:]
-        for _, src, dst in by_label[first]:
-            y0, y = (src, dst) if forwards == OUT else (dst, src)
-            for i, (label, direction, far) in enumerate(rest):
-                e = dart.get((y, label, direction))
+        (first, _), rest = keys[0], keys[1:]
+        for _, src, dst in by_label[first >> 1]:
+            y0, y = (dst, src) if first & 1 else (src, dst)
+            for i, (slot, far) in enumerate(rest):
+                e = rows[y][slot]
                 if e is None:
                     read += i + 2
                     break
@@ -472,13 +461,14 @@ def double_cosets(
         if root not in cyclic:
             continue
         edges = pieces[root]
-        for label, direction, far in keys:
-            ex, ey = reader._dart[x, label, direction], dart[y, label, direction]
+        for slot, far in keys:
+            ex, ey = reader._rows[x][slot], rows[y][slot]
             x_next, y_next = reader._edge[ex][far], edge[ey][far]
             near, far_end = (x, y), (x_next, y_next)
             if swap:
                 near, far_end, ex, ey = near[::-1], far_end[::-1], ey, ex
-            edges[ex, ey] = (label, near, far_end) if direction == OUT else (label, far_end, near)
+            label = slot >> 1
+            edges[ex, ey] = (label, far_end, near) if slot & 1 else (label, near, far_end)
             x, y = x_next, y_next
 
     anchor = None  # a vertex of the based entry's core

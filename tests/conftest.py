@@ -57,7 +57,7 @@ def sorted_stars(graph):
     """Each vertex's darts as ``LabeledGraph.darts`` gives them, (signed
     letter, edge id, far end) triples, got by sorting the edge records by
     label, the outgoing dart first.  Kept as an oracle for ``darts``, which
-    reads the dart index instead."""
+    reads the dart table instead."""
     stars = {v: [] for v in graph.vertices}
     for e, label, s, d in graph.edges():
         stars[s].append((label + 1, e, d))
@@ -71,7 +71,7 @@ def sorted_canonical(graph, *, based=True):
     sorted edge code), order the components by anchor and code, then sort
     every edge by its renumbered (source, label, target).  Kept as an oracle
     for ``LabeledGraph.canonical``, which emits the edges in that order from
-    one walk over the dart index; the stars and components come from
+    one walk over the dart table; the stars and components come from
     ``sorted_stars``, not from the graph's own walks."""
     stars = sorted_stars(graph)
 

@@ -301,8 +301,33 @@ def test_clash_set_matches_a_dart_count(case):
     for _, label, src, dst in g.edges():
         for key in ((src, label, OUT), (dst, label, IN)):
             darts[key] = darts.get(key, 0) + 1
-    assert g._clashes == {v for (v, _, _), count in darts.items() if count > 1}
+    assert set(g._clashes) == {v for (v, _, _), count in darts.items() if count > 1}
     assert g.is_properly_labeled() == (not g._clashes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FOLD_INPUTS)
+def test_rows_and_clashes_match_the_edge_records(case):
+    """Each slot holds the first edge of its kind in edge order, the clash
+    list every later one, and valence counts both, a loop twice; checked on
+    a graph with clashes and on its fold."""
+    g = _fold_input(*case)
+    for graph in (g, fold_to_immersion(g).graph):
+        first, later = {}, {}
+        ends = dict.fromkeys(graph.vertices, 0)
+        for e, label, src, dst in graph.edges():
+            for v, slot in ((src, 2 * label), (dst, 2 * label + 1)):
+                ends[v] += 1
+                if (v, slot) in first:
+                    later.setdefault(v, []).append((slot, e))
+                else:
+                    first[v, slot] = e
+        assert graph._clashes == later
+        for v in graph.vertices:
+            assert graph._rows[v] == [first.get((v, slot)) for slot in range(2 * graph.rank)]
+            assert graph.valence(v) == ends[v]
+        if graph.is_properly_labeled():
+            assert {v: graph.darts(v) for v in graph.vertices} == sorted_stars(graph)
 
 
 def test_fold_of_a_proper_graph_returns_it():
@@ -406,6 +431,9 @@ def test_trace_failure_reports_position():
     g = folded_core_of("a")
     res = g.trace(g.basepoint, RANK2.word("b"))
     assert not res.ok and res.failed_at == 0
+    # a label past the graph's rank has no slot, so it cannot be read either
+    res = g.trace(g.basepoint, Alphabet(3).word("aC"))
+    assert not res.ok and res.failed_at == 1
 
 
 def test_trace_failure_mid_word():

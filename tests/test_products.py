@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stallings import (
     IN,
@@ -36,6 +36,7 @@ from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, _random_reduced_word, 
 from stallings.words import generator_squares
 
 import stallings.products
+from stallings.products import _segments
 from conftest import (
     FIGURE_LEFT,
     FIGURE_MEET_WORD,
@@ -658,6 +659,28 @@ def _coset_pieces(d):
     )
 
 
+# draws whose read core is a circle, and one with a segment that starts on
+# an incoming dart; each is checked below to keep that shape
+READS_A_CIRCLE = (0, "circle", 2, False)
+STARTS_INCOMING = (2, "random", 2, False)
+
+
+def _read_segments(seed, kind, rank, swap):
+    """The segments of the core ``double_cosets`` reads for this draw."""
+    H, K = _coset_pair(seed, kind, rank)
+    if swap:
+        H, K = K, H
+    swapped = K.rank * H.graph.vertex_count < H.rank * K.graph.vertex_count
+    return _segments(K.graph if swapped else H.graph)
+
+
+def test_the_pinned_draws_read_a_circle_and_an_incoming_first_dart():
+    (start, end, keys), = _read_segments(*READS_A_CIRCLE)
+    assert start == end and len(keys) > 1
+    segments = _read_segments(*STARTS_INCOMING)
+    assert len(segments) > 1 and any(keys[0][0] & 1 for _, _, keys in segments)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -667,6 +690,8 @@ def _coset_pieces(d):
     st.integers(2, 3),
     st.booleans(),
 )
+@example(*READS_A_CIRCLE)
+@example(*STARTS_INCOMING)
 def test_double_cosets_match_the_matched_pair_oracle(seed, kind, rank, swap):
     """Reading segments finds the entries that union-find over every
     label-matched edge pair finds, whichever factor is read."""

@@ -96,14 +96,12 @@ def _from_core_form(
     if not graph.is_core():
         raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
     form = graph._canonical_form(*walk, based=True)
-    canon = form.graph
-    sub = Subgroup(alphabet, (), canon)
+    sub = Subgroup(alphabet, (), form.graph)
     gens = tuple(generators) if generators is not None else tuple(basis(sub))
     for w in gens:
         if w.alphabet != alphabet:
             raise ValueError("generator alphabet mismatch")
-        outcome = canon.trace(canon.basepoint, w)
-        if not outcome.ok or outcome.vertex != canon.basepoint:
+        if not membership(sub, w):
             raise ValueError(f"generator {w} does not trace a based loop in the core")
     sub.generators = gens
     return sub, form
@@ -145,11 +143,11 @@ def subgroup_from_spec(data: dict) -> Subgroup:
 
 
 def membership(H: Subgroup, w: Word) -> bool:
-    """Whether ``w`` lies in ``H``: its trace closes up at the basepoint."""
+    """Whether ``w`` lies in ``H``: its trace ends at the basepoint (a failed
+    trace ends at no vertex)."""
     if w.alphabet != H.alphabet:
         raise ValueError("word alphabet differs from subgroup alphabet")
-    outcome = H.graph.trace(H.graph.basepoint, w)
-    return outcome.ok and outcome.vertex == H.graph.basepoint
+    return H.graph.trace(H.graph.basepoint, w).vertex == H.graph.basepoint
 
 
 def _tree_paths(graph: LabeledGraph) -> tuple[dict, set]:

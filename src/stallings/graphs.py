@@ -36,9 +36,6 @@ from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .words import Alphabet, Word
 
-OUT = 1
-IN = -1
-
 _DOT_COLORS = ("black", "red2", "blue2", "forestgreen", "darkorange", "purple")
 
 
@@ -141,7 +138,7 @@ class LabeledGraph:
     order and slot ``2 * label + 1`` the first incoming one, so a loop fills
     both slots of its label.  Every later dart of an occupied kind goes to
     the clash list of its vertex as ``(slot, edge)``.  So properness is
-    known at once, :meth:`dart_edge` is a single index, and folding starts
+    known at once, reading a letter is a single index, and folding starts
     from the clashes alone.  ``None`` marks an empty slot, so it is no edge
     id.
     """
@@ -254,33 +251,24 @@ class LabeledGraph:
                     star.append(((slot >> 1) + 1, e, edge[e][2]))
         return tuple(star)
 
-    def dart_edge(self, v: Hashable, label: int, direction: int) -> Hashable | None:
-        """The unique edge at ``v`` with the given label and direction, if any."""
+    def trace(self, start: Hashable, w: Word) -> Traversal:
+        """Read ``w`` from ``start`` along the rows, a letter past the rank
+        reading no edge; failure records the first unreadable index.  Needs
+        a properly labeled graph."""
         if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
-        row = self._rows[v]
-        slot = 2 * label + (direction == IN)
-        return row[slot] if 0 <= slot < len(row) else None
-
-    def step(self, v: Hashable, letter: int) -> Hashable | None:
-        """Follow one signed letter from ``v``; None when unreadable."""
-        label = abs(letter) - 1
-        if letter > 0:
-            e = self.dart_edge(v, label, OUT)
-            return None if e is None else self._edge[e][2]
-        e = self.dart_edge(v, label, IN)
-        return None if e is None else self._edge[e][1]
-
-    def trace(self, start: Hashable, w: Word) -> Traversal:
-        """Read ``w`` from ``start``; failure records the first unreadable index."""
-        if start not in self._rows:
+        rows, edge = self._rows, self._edge
+        if start not in rows:
             raise ValueError(f"start vertex {start!r} not in graph")
+        width = 2 * self.rank
         here = start
         for i, letter in enumerate(w.letters):
-            nxt = self.step(here, letter)
-            if nxt is None:
+            # l > 0 reads slot 2(l - 1) to the target, l < 0 slot 2(-l) - 1 to the source
+            slot, far = (2 * letter - 2, 2) if letter > 0 else (-2 * letter - 1, 1)
+            e = rows[here][slot] if slot < width else None
+            if e is None:
                 return Traversal(None, i)
-            here = nxt
+            here = edge[e][far]
         return Traversal(here, None)
 
     # -- summaries -------------------------------------------------------------
@@ -329,9 +317,12 @@ class LabeledGraph:
         """Rename vertices (and optionally edge ids) through injective maps."""
         if len(set(vertex_map.values())) != len(vertex_map):
             raise ValueError("vertex relabeling is not injective")
-        emap = edge_map or {e: e for e in self._edge}
+        if edge_map is None:
+            edge_map = {e: e for e in self._edge}
+        elif len(set(edge_map.values())) != len(edge_map):
+            raise ValueError("edge relabeling is not injective")
         edges = {
-            emap[eid]: (label, vertex_map[src], vertex_map[dst])
+            edge_map[eid]: (label, vertex_map[src], vertex_map[dst])
             for eid, (label, src, dst) in self._edge.items()
         }
         bp = None if self.basepoint is None else vertex_map[self.basepoint]
@@ -500,14 +491,14 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
     if any(w.alphabet != alphabet for w in gens):
         raise ValueError("generators use mismatched alphabets")
     edges: dict = {}
-    step: dict = {}  # (vertex, signed letter) -> far end of the first dart laid there
+    laid: dict = {}  # (vertex, signed letter) -> far end of the first dart laid there
     next_vertex = 1
 
     def read(v, letters) -> tuple[int, Hashable]:
         """How many of ``letters`` read from ``v``, and the vertex reached."""
         count = 0
         for letter in letters:
-            w = step.get((v, letter))
+            w = laid.get((v, letter))
             if w is None:
                 break
             v = w
@@ -528,8 +519,8 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
                 edges[len(edges)] = (letter - 1, v, w)
             else:
                 edges[len(edges)] = (-letter - 1, w, v)
-            step.setdefault((v, letter), w)
-            step.setdefault((w, -letter), v)
+            laid.setdefault((v, letter), w)
+            laid.setdefault((w, -letter), v)
             v = w
         return v
 

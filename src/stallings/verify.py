@@ -336,8 +336,8 @@ def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, 
         raise TrivialIntersectionError("basepoint normalization needs a nontrivial intersection")
     meet_core = trim_to_core(product)
     if meet_core.valence(meet_core.basepoint) <= 1:
-        step = ~_stem_word(meet_core)
-        H, K = H.conj(step), K.conj(step)
+        shift = ~_stem_word(meet_core)
+        H, K = H.conj(shift), K.conj(shift)
         meet_core = based_meet_core(H, K)
     _require(
         all(g.valence(v) >= 2 for g in (H.graph, K.graph, meet_core) for v in g.vertices),

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stallings import (
-    IN,
-    OUT,
     Alphabet,
     LabeledGraph,
     RANK2,
@@ -20,6 +18,9 @@ from stallings import (
 from stallings.graphs import ImproperLabelingError
 
 from conftest import FIGURE_MEET_WORD, make, sorted_canonical, sorted_stars, wedge
+
+# direction tags of the edge-record oracles below
+OUT, IN = "out", "in"
 
 
 def folded_core_of(*texts):
@@ -473,10 +474,12 @@ def test_bouquet_of_distinct_words_may_be_improper():
     assert not g.is_properly_labeled()
 
 
-def test_improper_graph_rejects_dart_queries():
+def test_improper_graph_refuses_traces():
     g = _plain_bouquet([RANK2.word("a"), RANK2.word("ab")])
-    with pytest.raises(ImproperLabelingError):
-        g.dart_edge(g.basepoint, 0, OUT)
+    # refused before any letter is read, so even the empty word
+    for text in ("", "a", "B"):
+        with pytest.raises(ImproperLabelingError):
+            g.trace(g.basepoint, RANK2.word(text))
 
 
 def _has_duplicate_darts(g):
@@ -494,18 +497,36 @@ def test_properness_agrees_with_a_per_vertex_scan(gens):
         assert g.is_properly_labeled() == (not _has_duplicate_darts(g))
 
 
+def _one_letter_traces_match_a_scan(g):
+    """Every one-letter word, of either sign and every label plus one past
+    the rank, traced from every vertex: ``l > 0`` follows the first edge of
+    label ``l - 1`` out of the vertex to its target, ``l < 0`` the first one
+    into it back to its source, and a letter with no such edge fails at 0."""
+    wide = Alphabet(g.rank + 1)
+    for v in g.vertices:
+        for label in range(g.rank + 1):
+            for letter, near, far in ((label + 1, 2, 3), (-label - 1, 3, 2)):
+                scanned = [e[far] for e in g.edges() if e[1] == label and e[near] == v]
+                expected = (scanned[0], None) if scanned else (None, 0)
+                assert g.trace(v, Word(wide, [letter])) == expected
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
-def test_dart_edge_agrees_with_a_linear_scan(seed, count):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_one_letter_traces_agree_with_a_linear_scan(seed, count, rank):
     from stallings.verify import random_subgroup
 
-    g = random_subgroup(random.Random(seed), count, 6).graph
+    g = random_subgroup(random.Random(seed), count, 6, Alphabet(rank)).graph
     assert g.is_properly_labeled()
-    for v in g.vertices:
-        for direction, end in ((OUT, 2), (IN, 3)):
-            for label in range(g.rank):
-                scanned = [e[0] for e in g.edges() if e[1] == label and e[end] == v]
-                assert g.dart_edge(v, label, direction) == (scanned[0] if scanned else None)
+    _one_letter_traces_match_a_scan(g)
+
+
+def test_one_letter_traces_read_loops_both_ways():
+    # a loop fills both slots of its label, and edges come out of label order
+    g = LabeledGraph(3, [0, 1], {"s": (2, 1, 1), "p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 1)})
+    _one_letter_traces_match_a_scan(g)
+    loop = Alphabet(3).word("c")
+    assert g.trace(1, loop) == g.trace(1, ~loop) == (1, None)
 
 
 def test_darts_come_by_label_outgoing_first():
@@ -525,10 +546,10 @@ def test_improper_graph_refuses_star_walks():
         g.components()
 
 
-def test_dart_edge_on_a_missing_vertex_is_a_key_error():
+def test_trace_from_a_missing_vertex_is_a_value_error():
     g = folded_core_of("ab")
-    with pytest.raises(KeyError):
-        g.dart_edge("nowhere", 0, OUT)
+    with pytest.raises(ValueError, match="not in graph"):
+        g.trace("nowhere", RANK2.word("a"))
 
 
 # -- combination and canonical forms ------------------------------------------------
@@ -545,6 +566,18 @@ def test_canonical_is_stable_under_relabeling():
     g = make("a", "bab").graph
     renamed = g.relabeled({v: ("wrapped", v) for v in g.vertices})
     assert renamed.canonical().graph == g.canonical().graph
+
+
+def test_relabeled_refuses_edge_maps_that_drop_edges():
+    g = LabeledGraph(2, [0, 1], {"p": (0, 0, 1), "q": (1, 0, 1)})
+    with pytest.raises(ValueError, match="edge relabeling is not injective"):
+        g.relabeled({0: 0, 1: 1}, {"p": "x", "q": "x"})
+    # an empty edge map names no edge: it does not mean "keep the ids"
+    with pytest.raises(KeyError):
+        g.relabeled({0: 0, 1: 1}, {})
+    renamed = g.relabeled({0: 1, 1: 0}, {"p": "x", "q": "y"})
+    assert renamed.edge_count == 2 and renamed.edge("y") == (1, 1, 0)
+    assert g.relabeled({0: 1, 1: 0}).edge("q") == (1, 1, 0)
 
 
 def test_canonical_distinguishes_basepoints():

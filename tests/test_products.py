@@ -7,8 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stallings import (
-    IN,
-    OUT,
     Alphabet,
     LEFT,
     RIGHT,
@@ -810,11 +808,11 @@ def test_squares_candidates_are_isolated_in_the_dense_product():
 
     def kinds(g, v):
         """The (label, direction) kinds of the darts at ``v``, from edge records."""
-        return {(label, OUT) for _, label, s, _ in g.edges() if s == v} | {
-            (label, IN) for _, label, _, d in g.edges() if d == v
+        return {(label, "out") for _, label, s, _ in g.edges() if s == v} | {
+            (label, "in") for _, label, _, d in g.edges() if d == v
         }
 
-    a_center, b_center = {(0, OUT), (0, IN)}, {(1, OUT), (1, IN)}
+    a_center, b_center = {(0, "out"), (0, "in")}, {(1, "out"), (1, "in")}
     isolated = [
         (x, y)
         for x, y in product.vertices

@@ -95,7 +95,7 @@ def _from_core_form(
         raise ValueError("a subgroup core must be connected")
     if not graph.is_core():
         raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
-    form = graph._canonical_form(*walk, based=True)
+    form = graph._canonical_form(*walk)
     sub = Subgroup(alphabet, (), form.graph)
     gens = tuple(generators) if generators is not None else tuple(basis(sub))
     for w in gens:

@@ -281,24 +281,6 @@ class LabeledGraph:
         """No vertex of valence <= 1 apart from the basepoint."""
         return all(d >= 2 for v, d in self._valences().items() if v != self.basepoint)
 
-    def components(self) -> list[list]:
-        """Vertex lists of the connected components, each in walk order.
-        Needs a properly labeled graph."""
-        seen: set = set()
-        comps: list[list] = []
-        for v0 in self._vertex_order:
-            if v0 in seen:
-                continue
-            seen.add(v0)
-            comp = [v0]
-            for v in comp:  # comp grows while it is walked
-                for _, _, w in self.darts(v):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-            comps.append(comp)
-        return comps
-
     # -- rebuilding --------------------------------------------------------------
 
     def subgraph(self, keep_vertices: set, *, basepoint: Hashable | None = None) -> "LabeledGraph":
@@ -361,55 +343,31 @@ class LabeledGraph:
                     order.append(edge[e][1])
         return number, edges, edge_map
 
-    def _walk_by_code(self, anchor: Hashable | None) -> tuple[dict, dict, dict]:
-        """Walk the components one after another, the anchor's first, then
-        the rest by edge code, and concatenate the walks."""
-        walks = []
-        for comp in self.components():
-            based = anchor is not None and anchor in comp
-            # the first start with the least (source, label, target) code wins ties
-            starts = [anchor] if based else comp
-            coded = (((not based, tuple((i, a, j) for a, i, j in w[1].values())), w)
-                     for w in map(self._walk_from, starts))
-            key, walk = min(coded, key=lambda t: t[0])
-            if len(walk[0]) != len(comp):
-                raise ValueError("component not connected under traversal")
-            walks.append((key, walk))
-        walks.sort(key=lambda t: t[0])
-        number, edges, edge_map = {}, {}, {}
-        for _, (numbering, walked, emap) in walks:
-            n, m = len(number), len(edges)
-            number.update((v, n + i) for v, i in numbering.items())
-            edges.update((m + k, (label, n + i, n + j)) for k, (label, i, j) in walked.items())
-            edge_map.update((e, m + k) for e, k in emap.items())
-        return number, edges, edge_map
+    def canonical(self) -> CanonicalForm:
+        """Deterministic relabeling: vertices 0..n-1, edges 0..m-1, numbered
+        by the walk from the basepoint (``_walk_from``).
 
-    def canonical(self, *, based: bool = True) -> CanonicalForm:
-        """Deterministic relabeling: vertices 0..n-1, edges 0..m-1.
-
-        Two properly labeled graphs are isomorphic (respecting basepoints when
-        ``based``) exactly when their canonical forms are equal.  A based
-        graph that the walk from its basepoint covers is numbered by that
-        walk alone; edge codes are compared only to order several
-        components or to pick the start of an unbased one.
+        Two properly labeled, connected, based graphs have equal canonical
+        forms exactly when an isomorphism maps one onto the other, basepoint
+        to basepoint.  Raises ``ImproperLabelingError`` on an improperly
+        labeled graph, and ``ValueError`` when the graph has no basepoint or
+        the walk from it does not reach every vertex.
         """
         if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
-        anchor = self.basepoint if based else None
-        walk = None if anchor is None else self._walk_from(anchor)
-        if walk is None or len(walk[0]) != len(self._vertex_order):
-            walk = self._walk_by_code(anchor)
-        return self._canonical_form(*walk, based=based)
+        if self.basepoint is None:
+            raise ValueError("a canonical form needs a basepoint")
+        walk = self._walk_from(self.basepoint)
+        if len(walk[0]) != len(self._vertex_order):
+            raise ValueError("the walk from the basepoint does not reach every vertex")
+        return self._canonical_form(*walk)
 
-    def _canonical_form(self, number: dict, edges: dict, edge_map: dict, *, based: bool):
-        """The canonical form a walk covering this properly labeled graph
-        gives, built by the validating constructor."""
-        bp = number[self.basepoint] if based and self.basepoint is not None else None
-        graph = LabeledGraph(self.rank, range(len(number)), edges, basepoint=bp)
+    def _canonical_form(self, number: dict, edges: dict, edge_map: dict) -> CanonicalForm:
+        """The canonical form that the walk from the basepoint gives, the
+        walk having reached every vertex of this properly labeled graph;
+        built by the validating constructor."""
+        graph = LabeledGraph(self.rank, range(len(number)), edges, basepoint=number[self.basepoint])
         return CanonicalForm(graph, number, edge_map)
-
-    def isomorphic(self, other: "LabeledGraph", *, based: bool = True) -> bool:
-        return self.canonical(based=based).graph == other.canonical(based=based).graph
 
     def __eq__(self, other: object) -> bool:
         """Structural identity: same ids, edges and basepoint."""
@@ -443,13 +401,15 @@ class LabeledGraph:
     def to_dot(self) -> str:
         """Graphviz source with one color per label and a doubled basepoint.
 
-        Properly labeled graphs are numbered from the canonical form so the
-        output is reproducible; others fall back to sorted identifiers.
+        Vertices are numbered by :meth:`canonical`, so the output is
+        reproducible; where that raises (an improperly labeled or unbased
+        graph, or one the basepoint's walk does not cover), they are
+        numbered by their sorted identifiers instead.
         """
         alphabet = Alphabet(self.rank)
-        if self.is_properly_labeled():
+        try:
             vmap = self.canonical().vertex_map
-        else:
+        except ValueError:
             vmap = {v: i for i, v in enumerate(sorted(self._vertex_order, key=repr))}
         lines = ["digraph core {", "  rankdir=LR;"]
         for v in sorted(self._vertex_order, key=lambda u: vmap[u]):

@@ -229,7 +229,8 @@ class PushoutResult:
         return [e for e, _, src, dst in self.graph.edges() if src == dst]
 
     def folded_core(self) -> LabeledGraph:
-        """Fold and trim the quotient; lands on the join's core."""
+        """Fold and trim the quotient; lands on the join's core.  A pushout
+        along no cores is disconnected, and ``canonical()`` refuses it."""
         return trim_to_core(fold_to_immersion(self.graph).graph).canonical().graph
 
     def refolds_to(self, core: LabeledGraph) -> bool:

@@ -760,11 +760,6 @@ def check_squares_construction() -> dict:
         rebased_right = K.graph.with_basepoint(y).canonical()
         if Hu.graph != rebased_left.graph or Kv.graph != rebased_right.graph:
             problems.append("conjugating did not simply rebase the cores")
-        if not (
-            Hu.graph.isomorphic(H.graph, based=False)
-            and Kv.graph.isomorphic(K.graph, based=False)
-        ):
-            problems.append("rebasing changed a core")
 
         point_core = based_meet_core(Hu, Kv)
         if (point_core.vertex_count, point_core.edge_count) != (1, 0):

@@ -65,35 +65,52 @@ def sorted_stars(graph):
     return {v: tuple(sorted(star, key=lambda dart: (abs(dart[0]), dart[0] < 0))) for v, star in stars.items()}
 
 
+def _walk_stars(stars, start):
+    """The numbering a BFS over ``stars`` gives the vertices it reaches from
+    ``start``."""
+    number = {start: 0}
+    order = [start]
+    for v in order:
+        for _, _, w in stars[v]:
+            if w not in number:
+                number[w] = len(order)
+                order.append(w)
+    return number
+
+
+def components(graph):
+    """Vertex lists of the connected components, each in the order of a BFS
+    over its sorted darts from its first vertex in vertex order.  Kept as an
+    oracle read off ``sorted_stars``, not off the graph's own walks."""
+    stars = sorted_stars(graph)
+    comps, seen = [], set()
+    for v in graph.vertices:
+        if v not in seen:
+            comps.append(list(_walk_stars(stars, v)))
+            seen.update(comps[-1])
+    return comps
+
+
 def sorted_canonical(graph, *, based=True):
     """The canonical form by sorting: number each component by a BFS over
     its sorted darts (from the anchor, or from the start with the least
     sorted edge code), order the components by anchor and code, then sort
     every edge by its renumbered (source, label, target).  Kept as an oracle
     for ``LabeledGraph.canonical``, which emits the edges in that order from
-    one walk over the dart table; the stars and components come from
+    one walk over the dart table and covers only graphs that the walk from
+    the basepoint reaches; ``based=False`` and the several-component order
+    compare graphs that it refuses.  The stars and components come from
     ``sorted_stars``, not from the graph's own walks."""
     stars = sorted_stars(graph)
 
     def encode(start):
-        number = {start: 0}
-        order = [start]
-        for v in order:
-            for _, _, w in stars[v]:
-                if w not in number:
-                    number[w] = len(order)
-                    order.append(w)
+        number = _walk_stars(stars, start)
         code = sorted((number[s], label, number[d]) for _, label, s, d in graph.edges() if s in number)
         return number, tuple(code)
 
-    components, seen = [], set()
-    for v in graph.vertices:
-        if v not in seen:
-            components.append(list(encode(v)[0]))
-            seen.update(components[-1])
     anchor = graph.basepoint if based else None
     encoded = []
-    for comp in components:
+    for comp in components(graph):
         is_based = anchor is not None and anchor in comp
         starts = [anchor] if is_based else comp
         number, code = min(map(encode, starts), key=lambda t: t[1])

@@ -39,8 +39,10 @@ from conftest import (
     FIGURE_LEFT,
     FIGURE_MEET_WORD,
     FIGURE_RIGHT,
+    components,
     make,
     matched_pair_double_cosets,
+    sorted_canonical,
     stepwise_nonextremal,
     wedge,
 )
@@ -242,9 +244,9 @@ def test_join_canonicalizes_its_core_once(monkeypatch):
     calls = []
     real = LabeledGraph._canonical_form  # every canonical form is built here
 
-    def counting(self, number, edges, edge_map, *, based):
+    def counting(self, number, edges, edge_map):
         calls.append(self)
-        return real(self, number, edges, edge_map, based=based)
+        return real(self, number, edges, edge_map)
 
     monkeypatch.setattr(LabeledGraph, "_canonical_form", counting)
     J = join(H, K)
@@ -360,7 +362,7 @@ def test_join_reads_a_subgroup_without_laying_an_edge(monkeypatch, seed):
 def test_pushout_of_equal_factors_collapses_to_the_core():
     H = make("a", "bab")
     po = topological_pushout(H, H, [based_meet_core(H, H)])
-    assert po.graph.isomorphic(H.graph, based=False)
+    assert sorted_canonical(po.graph, based=False).graph == sorted_canonical(H.graph, based=False).graph
     assert po.chi == H.graph.chi
 
 
@@ -420,7 +422,8 @@ def test_refolds_to_agrees_with_the_folded_core(seed):
     cosets = [entry.core for entry in double_cosets(H, K).entries]
     for cores in (meet, cosets, []):
         po = topological_pushout(H, K, cores)
-        folded = po.folded_core()
+        # with no cores the quotient is disconnected, which canonical() refuses
+        folded = sorted_canonical(trim_to_core(fold_to_immersion(po.graph).graph)).graph
         for core in (J,) + negatives:
             assert po.refolds_to(core) == (folded == core)
     assert topological_pushout(H, K, meet).refolds_to(J)
@@ -585,7 +588,7 @@ def _dense_decomposition(H, K):
     """(rank, based, vertices, edges) per positive-rank component of the full product."""
     product = _dense_product(H, K)
     out = []
-    for comp in product.components():
+    for comp in components(product):
         piece = product.subgraph(set(comp))
         rank = piece.edge_count - piece.vertex_count + 1
         if rank >= 1:

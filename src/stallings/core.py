@@ -91,7 +91,7 @@ def _from_core_form(
     # the walk that numbers the canonical form reaches every vertex exactly
     # when the core is connected
     walk = graph._walk_from(graph.basepoint)
-    if len(walk[0]) != graph.vertex_count:
+    if len(walk[1]) != graph.vertex_count:
         raise ValueError("a subgroup core must be connected")
     if not graph.is_core():
         raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
@@ -150,30 +150,48 @@ def membership(H: Subgroup, w: Word) -> bool:
     return H.graph.trace(H.graph.basepoint, w).vertex == H.graph.basepoint
 
 
-def _tree_paths(graph: LabeledGraph) -> tuple[dict, set]:
-    """BFS spanning tree from the basepoint: letter paths and tree edge ids."""
-    bp = graph.basepoint
-    path: dict = {bp: ()}
-    tree_edges: set = set()
-    order = [bp]
+def _spanning_tree(graph: LabeledGraph, start: int) -> tuple[list, list, list, list]:
+    """BFS spanning tree from ``start``, in dart order: the vertices reached
+    in walk order, each vertex's parent (-1 at ``start`` and where
+    unreached), the signed letter each vertex is entered by, and which edges
+    are tree edges.  Paths are rebuilt from the parents by :func:`_tree_path`
+    only where they are read, so the tree takes memory linear in the graph."""
+    n = graph.vertex_count
+    parent, letter_in = [-1] * n, [0] * n
+    tree_edge = [False] * graph.edge_count
+    reached = [False] * n
+    reached[start] = True
+    order = [start]
     for v in order:  # order grows while it is walked
         for letter, e, w in graph.darts(v):
-            if w not in path:
-                path[w] = path[v] + (letter,)
-                tree_edges.add(e)
+            if not reached[w]:
+                reached[w] = True
+                parent[w], letter_in[w] = v, letter
+                tree_edge[e] = True
                 order.append(w)
-    return path, tree_edges
+    return order, parent, letter_in, tree_edge
+
+
+def _tree_path(parent: list, letter_in: list, v: int) -> list:
+    """The letters along the tree path from the root to ``v``."""
+    letters = []
+    while parent[v] >= 0:
+        letters.append(letter_in[v])
+        v = parent[v]
+    letters.reverse()
+    return letters
 
 
 def basis(H: Subgroup) -> list[Word]:
     """A free basis from a spanning tree: one word per non-tree edge."""
     graph = H.graph
-    path, tree_edges = _tree_paths(graph)
+    _, parent, letter_in, tree_edge = _spanning_tree(graph, graph.basepoint)
     out: list[Word] = []
-    for eid in sorted(e for e, *_ in graph.edges() if e not in tree_edges):
-        label, src, dst = graph.edge(eid)
-        letters = path[src] + (label + 1,) + tuple(-x for x in reversed(path[dst]))
-        out.append(Word(H.alphabet, letters))
+    for e, label, src, dst in graph.edges():
+        if not tree_edge[e]:
+            back = [-x for x in reversed(_tree_path(parent, letter_in, dst))]
+            letters = _tree_path(parent, letter_in, src) + [label + 1] + back
+            out.append(Word(H.alphabet, letters))
     return out
 
 

@@ -1,22 +1,24 @@
 """Labeled oriented graphs: folding, cores, traces, canonical forms.
 
-Vertices and edges carry arbitrary hashable identifiers (kept homogeneous
-and sortable within any one graph), edges carry a generator label and an
-orientation, and a graph may have a distinguished basepoint.  A graph is
-*properly labeled* when no vertex has two outgoing (or two incoming) edges
-with the same label; properly labeled graphs are deterministic in both
-directions, which is what makes traces, membership and canonical forms
-well defined.
+Every graph is numbered densely: vertices are ``0..n-1`` and edges
+``0..m-1``, and an edge carries a generator label and an orientation.  A
+graph may have a distinguished basepoint.  A graph is *properly labeled*
+when no vertex has two outgoing (or two incoming) edges with the same
+label; properly labeled graphs are deterministic in both directions, which
+is what makes traces, membership and canonical forms well defined.
 
-Each graph keeps its darts in one table: a row of ``2 * rank`` slots per
-vertex, the outgoing dart of each label before its incoming one, plus a
-clash list of the darts a row has no room for.  Walks, products, folds and
-trims read the rows directly, in slot order, which is the one dart order
-every numbering follows.
+A graph keeps its edges as three int lists (label, source, target) and its
+darts in one flat table of ``2 * rank`` slots per vertex, the outgoing dart
+of each label before its incoming one, ``-1`` marking an empty slot.  A
+clash list holds the darts a vertex has no slot for, and a degree list the
+valence of each vertex.  Walks, products, folds and trims read these lists
+directly, in slot order, which is the one dart order every numbering
+follows.  A product graph also keeps its two coordinates, as one
+projection list per factor.
 
 Graphs are values: construct once, never mutate.  The folding and trimming
-operations return fresh graphs together with vertex/edge correspondence
-maps.
+operations return fresh, renumbered graphs, and the maps from the old
+numbers to the new ones where their callers read them.
 
 No graph, subgroup or report refers back to what holds it, so these values
 are acyclic and reference counting frees every one of them.  Python's cyclic
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import functools
 import gc
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .words import Alphabet, Word
 
@@ -70,7 +72,7 @@ class ImproperLabelingError(ValueError):
 class Traversal(NamedTuple):
     """Outcome of tracing a word: the final vertex, or the failure index."""
 
-    vertex: Hashable | None
+    vertex: int | None
     failed_at: int | None
 
     @property
@@ -80,13 +82,14 @@ class Traversal(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class CanonicalForm:
+    """A canonical graph, with the new number of each old vertex."""
+
     graph: "LabeledGraph"
-    vertex_map: dict
-    edge_map: dict
+    vertex_map: list
 
 
 class DisjointSet:
-    """Union-find over hashables, with path compression.
+    """Union-find over the ints ``0..size-1``, with path compression.
 
     The package's one union-find: folding merges vertices and edges with
     it, and the product, pushout and matrix layers group classes with it.
@@ -96,13 +99,10 @@ class DisjointSet:
 
     __slots__ = ("parent",)
 
-    def __init__(self, items: Iterable[Hashable] = ()):
-        self.parent: dict = {x: x for x in items}
+    def __init__(self, size: int = 0):
+        self.parent: list = list(range(size))
 
-    def add(self, x: Hashable) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: Hashable) -> Hashable:
+    def find(self, x: int) -> int:
         parent = self.parent
         root = x
         while parent[root] != root:
@@ -111,125 +111,136 @@ class DisjointSet:
             parent[x], x = root, parent[x]
         return root
 
-    def union(self, a: Hashable, b: Hashable) -> bool:
-        """Merge the classes of ``a`` and ``b``, adding either that is new;
-        False when already one class."""
-        self.parent.setdefault(a, a)
-        self.parent.setdefault(b, b)
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of ``a`` and ``b``; False when already one."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
         self.parent[rb] = ra
         return True
 
-    def classes(self) -> list[list]:
-        """Every class as a sorted member list."""
-        grouped: dict = defaultdict(list)
-        for x in self.parent:
-            grouped[self.find(x)].append(x)
-        return [sorted(members) for members in grouped.values()]
+    def numbering(self) -> list[int]:
+        """Each element's class, the classes numbered by least member.
+
+        Halves every path until each element points at its root (each pass
+        is one C-level map), then numbers the roots in order of first
+        appearance.
+        """
+        roots = self.parent
+        while True:
+            up = list(map(roots.__getitem__, roots))
+            if up == roots:
+                break
+            roots = up
+        first = dict.fromkeys(roots)
+        number = dict(zip(first, range(len(first))))
+        return list(map(number.__getitem__, roots))
 
 
 class LabeledGraph:
-    """A finite oriented graph with edges labeled by generator indices.
+    """A finite oriented graph on vertices ``0..n-1`` with edges ``0..m-1``
+    labeled by generator indices.
 
-    Construction also builds one row of ``2 * rank`` dart slots per vertex:
-    slot ``2 * label`` holds the first outgoing edge of that label in edge
-    order and slot ``2 * label + 1`` the first incoming one, so a loop fills
-    both slots of its label.  Every later dart of an occupied kind goes to
-    the clash list of its vertex as ``(slot, edge)``.  So properness is
-    known at once, reading a letter is a single index, and folding starts
-    from the clashes alone.  ``None`` marks an empty slot, so it is no edge
-    id.
+    Construction also builds the dart table, ``2 * rank`` slots per vertex:
+    slot ``2 * label`` of a vertex holds its first outgoing edge of that
+    label in edge order and slot ``2 * label + 1`` its first incoming one,
+    so a loop fills both slots of its label.  Every later dart of an
+    occupied kind goes to the clash list of its vertex as ``(slot, edge)``.
+    So properness is known at once, reading a letter is a single index, and
+    folding starts from the clashes alone.  ``projections``, when given, is
+    a pair of lists: the left and the right coordinate of each vertex of a
+    product graph.
     """
 
-    __slots__ = ("rank", "basepoint", "_edge", "_rows", "_vertex_order", "_clashes")
+    __slots__ = (
+        "rank", "basepoint", "vertex_count", "edge_count", "projections",
+        "_labels", "_sources", "_targets", "_slots", "_degree", "_clashes",
+    )
 
     def __init__(
         self,
         rank: int,
-        vertices: Iterable[Hashable],
-        edges: dict,
-        basepoint: Hashable | None = None,
+        vertex_count: int,
+        labels: list,
+        sources: list,
+        targets: list,
+        basepoint: int | None = None,
+        projections: tuple[list, list] | None = None,
     ):
-        """``edges`` maps edge id -> (label, src, dst)."""
+        """Edge ``e`` runs from ``sources[e]`` to ``targets[e]`` with label
+        ``labels[e]``.  The lists are kept, not copied."""
+        m = len(labels)
+        if len(sources) != m or len(targets) != m:
+            raise ValueError("edge label, source and target lists differ in length")
+        if m and (min(labels) < 0 or max(labels) >= rank):
+            raise ValueError(f"edge label out of range for rank {rank}")
+        if m and (min(min(sources), min(targets)) < 0
+                  or max(max(sources), max(targets)) >= vertex_count):
+            raise ValueError("edge endpoint missing from vertex set")
+        if basepoint is not None and not 0 <= basepoint < vertex_count:
+            raise ValueError(f"basepoint {basepoint!r} missing from vertex set")
+        if projections is not None and not (
+            len(projections[0]) == len(projections[1]) == vertex_count
+        ):
+            raise ValueError("projection lists do not cover the vertices")
         self.rank = rank
         self.basepoint = basepoint
+        self.vertex_count = vertex_count
+        self.edge_count = m
+        self.projections = projections
         width = 2 * rank
-        rows: dict = {v: [None] * width for v in vertices}
-        edge_table: dict = {}
+        slots = [-1] * (width * vertex_count)
+        degree = [0] * vertex_count
         clashes: dict = {}
-        for eid, (label, src, dst) in edges.items():
-            if not 0 <= label < rank:
-                raise ValueError(f"edge {eid!r} label {label} out of range for rank {rank}")
-            out_row, in_row = rows.get(src), rows.get(dst)
-            if out_row is None or in_row is None:
-                raise ValueError(f"edge {eid!r} endpoint missing from vertex set")
-            if eid in edge_table:
-                raise ValueError(f"duplicate edge id {eid!r}")
-            edge_table[eid] = (label, src, dst)
+        for e, label, src, dst in zip(range(m), labels, sources, targets):
             # a slot already held by another edge is a clash at that vertex
             slot = 2 * label
-            if out_row[slot] is None:
-                out_row[slot] = eid
+            i = src * width + slot
+            if slots[i] < 0:
+                slots[i] = e
             else:
-                clashes.setdefault(src, []).append((slot, eid))
-            slot += 1
-            if in_row[slot] is None:
-                in_row[slot] = eid
+                clashes.setdefault(src, []).append((slot, e))
+            i = dst * width + slot + 1
+            if slots[i] < 0:
+                slots[i] = e
             else:
-                clashes.setdefault(dst, []).append((slot, eid))
-        if basepoint is not None and basepoint not in rows:
-            raise ValueError(f"basepoint {basepoint!r} missing from vertex set")
-        self._edge = edge_table
-        self._rows = rows
-        self._vertex_order = tuple(rows)
+                clashes.setdefault(dst, []).append((slot + 1, e))
+            degree[src] += 1
+            degree[dst] += 1
+        self._labels = labels
+        self._sources = sources
+        self._targets = targets
+        self._slots = slots
+        self._degree = degree
         self._clashes = clashes  # vertex -> [(slot, edge)] past the first of each kind
 
     # -- structure access ----------------------------------------------------
 
     @property
-    def vertices(self) -> tuple:
-        return self._vertex_order
+    def vertices(self) -> range:
+        return range(self.vertex_count)
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self._vertex_order)
+    def edges(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(edge, label, source, target)`` for every edge, in edge order."""
+        return zip(range(self.edge_count), self._labels, self._sources, self._targets)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._edge)
-
-    def has_vertex(self, v: Hashable) -> bool:
-        return v in self._rows
-
-    def edge(self, eid: Hashable) -> tuple[int, Hashable, Hashable]:
-        return self._edge[eid]
-
-    def edges(self) -> Iterator[tuple[Hashable, int, Hashable, Hashable]]:
-        for eid, (label, src, dst) in self._edge.items():
-            yield eid, label, src, dst
-
-    def valence(self, v: Hashable) -> int:
-        # a loop fills both slots of its label; clashes are the darts past them
-        row = self._rows[v]
-        return len(row) - row.count(None) + len(self._clashes.get(v, ()))
-
-    def _valences(self) -> dict:
-        """:meth:`valence` of every vertex, in vertex order."""
-        width = 2 * self.rank
-        valences = {v: width - row.count(None) for v, row in self._rows.items()}
-        for v, later in self._clashes.items():
-            valences[v] += len(later)
-        return valences
+    def valence(self, v: int) -> int:
+        # a loop counts twice
+        return self._degree[v]
 
     def is_properly_labeled(self) -> bool:
         return not self._clashes
 
+    def _vertex(self, v: int) -> int:
+        """``v``, checked to be a vertex (a negative index would wrap)."""
+        if not (isinstance(v, int) and 0 <= v < self.vertex_count):
+            raise ValueError(f"vertex {v!r} not in graph")
+        return v
+
     # -- traversal -------------------------------------------------------------
 
-    def darts(self, v: Hashable) -> tuple[tuple[int, Hashable, Hashable], ...]:
-        """The darts at ``v`` as (signed letter, edge id, far end) triples.
+    def darts(self, v: int) -> tuple[tuple[int, int, int], ...]:
+        """The darts at ``v`` as (signed letter, edge, far end) triples.
 
         An outgoing dart reads letter ``label + 1`` towards the edge's
         target, an incoming one ``-(label + 1)`` towards its source; a loop
@@ -241,34 +252,36 @@ class LabeledGraph:
         """
         if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
-        edge = self._edge
+        width = 2 * self.rank
+        base = self._vertex(v) * width
         star = []
-        for slot, e in enumerate(self._rows[v]):
-            if e is not None:
+        for slot, e in enumerate(self._slots[base : base + width]):
+            if e >= 0:
                 if slot & 1:
-                    star.append((-(slot >> 1) - 1, e, edge[e][1]))
+                    star.append((-(slot >> 1) - 1, e, self._sources[e]))
                 else:
-                    star.append(((slot >> 1) + 1, e, edge[e][2]))
+                    star.append(((slot >> 1) + 1, e, self._targets[e]))
         return tuple(star)
 
-    def trace(self, start: Hashable, w: Word) -> Traversal:
-        """Read ``w`` from ``start`` along the rows, a letter past the rank
-        reading no edge; failure records the first unreadable index.  Needs
-        a properly labeled graph."""
+    def trace(self, start: int, w: Word) -> Traversal:
+        """Read ``w`` from ``start`` along the dart table, a letter past the
+        rank reading no edge; failure records the first unreadable index.
+        Needs a properly labeled graph."""
         if self._clashes:
             raise ImproperLabelingError("graph is not properly labeled")
-        rows, edge = self._rows, self._edge
-        if start not in rows:
-            raise ValueError(f"start vertex {start!r} not in graph")
+        here = self._vertex(start)
+        slots, sources, targets = self._slots, self._sources, self._targets
         width = 2 * self.rank
-        here = start
         for i, letter in enumerate(w.letters):
             # l > 0 reads slot 2(l - 1) to the target, l < 0 slot 2(-l) - 1 to the source
-            slot, far = (2 * letter - 2, 2) if letter > 0 else (-2 * letter - 1, 1)
-            e = rows[here][slot] if slot < width else None
-            if e is None:
+            if letter > 0:
+                slot, ends = 2 * letter - 2, targets
+            else:
+                slot, ends = -2 * letter - 1, sources
+            e = slots[here * width + slot] if slot < width else -1
+            if e < 0:
                 return Traversal(None, i)
-            here = edge[e][far]
+            here = ends[e]
         return Traversal(here, None)
 
     # -- summaries -------------------------------------------------------------
@@ -279,73 +292,78 @@ class LabeledGraph:
 
     def is_core(self) -> bool:
         """No vertex of valence <= 1 apart from the basepoint."""
-        return all(d >= 2 for v, d in self._valences().items() if v != self.basepoint)
+        return not _has_hair(self._degree, self.basepoint)
 
     # -- rebuilding --------------------------------------------------------------
 
-    def subgraph(self, keep_vertices: set, *, basepoint: Hashable | None = None) -> "LabeledGraph":
-        edges = {
-            eid: rec
-            for eid, rec in self._edge.items()
-            if rec[1] in keep_vertices and rec[2] in keep_vertices
-        }
-        vertices = [v for v in self._vertex_order if v in keep_vertices]
-        return LabeledGraph(self.rank, vertices, edges, basepoint=basepoint)
+    def subgraph(self, keep: Iterable[int], *, basepoint: int | None = None) -> "LabeledGraph":
+        """The graph on the vertices ``keep`` and the edges between them,
+        both renumbered in their old order, the basepoint (given in this
+        graph's numbers) and any projections carried over."""
+        keep = sorted(keep)
+        new = [-1] * self.vertex_count
+        for i, v in enumerate(keep):
+            new[v] = i
+        labels, sources, targets = [], [], []
+        for label, src, dst in zip(self._labels, self._sources, self._targets):
+            src, dst = new[src], new[dst]
+            if src >= 0 and dst >= 0:
+                labels.append(label)
+                sources.append(src)
+                targets.append(dst)
+        bp = None if basepoint is None else new[basepoint]
+        if bp == -1:
+            raise ValueError(f"basepoint {basepoint!r} is not kept")
+        projections = self.projections
+        if projections is not None:
+            projections = tuple([p[v] for v in keep] for p in projections)
+        return LabeledGraph(self.rank, len(keep), labels, sources, targets, bp, projections)
 
-    def with_basepoint(self, v: Hashable | None) -> "LabeledGraph":
-        return LabeledGraph(self.rank, self._vertex_order, self._edge, basepoint=v)
-
-    def relabeled(self, vertex_map: dict, edge_map: dict | None = None) -> "LabeledGraph":
-        """Rename vertices (and optionally edge ids) through injective maps."""
-        if len(set(vertex_map.values())) != len(vertex_map):
-            raise ValueError("vertex relabeling is not injective")
-        if edge_map is None:
-            edge_map = {e: e for e in self._edge}
-        elif len(set(edge_map.values())) != len(edge_map):
-            raise ValueError("edge relabeling is not injective")
-        edges = {
-            edge_map[eid]: (label, vertex_map[src], vertex_map[dst])
-            for eid, (label, src, dst) in self._edge.items()
-        }
-        bp = None if self.basepoint is None else vertex_map[self.basepoint]
+    def with_basepoint(self, v: int | None) -> "LabeledGraph":
         return LabeledGraph(
-            self.rank, [vertex_map[v] for v in self._vertex_order], edges, basepoint=bp
+            self.rank, self.vertex_count, self._labels, self._sources, self._targets,
+            v, self.projections,
         )
 
     # -- canonical form ------------------------------------------------------------
 
-    def _walk_from(self, start: Hashable) -> tuple[dict, dict, dict]:
-        """BFS from ``start`` over the dart rows, in slot order: the
-        numbering of the vertices reached, their edges renumbered as
-        ``{k: (label, i, j)}`` in sorted order (each is emitted at its
-        outgoing dart, and a properly labeled graph has one edge per
-        (source, label)), and the edge map."""
-        rows, edge = self._rows, self._edge
-        slots = range(0, 2 * self.rank, 2)
-        number = {start: 0}
+    def _walk_from(self, start: int) -> tuple[list, list, tuple]:
+        """BFS from ``start`` over the dart table, in slot order.  Returns
+        each vertex's number (-1 where unreached), the vertices reached in
+        walk order, and their edges renumbered as (labels, sources, targets)
+        lists in sorted order (each is emitted at its outgoing dart, and a
+        properly labeled graph has one edge per (source, label))."""
+        slots, sources, targets = self._slots, self._sources, self._targets
+        width = 2 * self.rank
+        number = [-1] * self.vertex_count
+        number[start] = 0
         order = [start]
-        edges, edge_map = {}, {}
-        for i, v in enumerate(order):  # order grows while it is walked
-            row = rows[v]
-            for slot in slots:
-                e = row[slot]
-                if e is not None:
-                    label, _, w = edge[e]
-                    j = number.get(w)
-                    if j is None:
+        labels, new_sources, new_targets = [], [], []
+        for v in order:  # order grows while it is walked
+            i = number[v]  # the int that the targets hold, not a copy of it
+            base = v * width
+            for slot in range(base, base + width, 2):
+                e = slots[slot]
+                if e >= 0:
+                    w = targets[e]
+                    j = number[w]
+                    if j < 0:
                         j = number[w] = len(order)
                         order.append(w)
-                    edge_map[e] = len(edges)
-                    edges[len(edges)] = (label, i, j)
-                e = row[slot + 1]
-                if e is not None and edge[e][1] not in number:
-                    number[edge[e][1]] = len(order)
-                    order.append(edge[e][1])
-        return number, edges, edge_map
+                    labels.append((slot - base) >> 1)
+                    new_sources.append(i)
+                    new_targets.append(j)
+                e = slots[slot + 1]
+                if e >= 0:
+                    w = sources[e]
+                    if number[w] < 0:
+                        number[w] = len(order)
+                        order.append(w)
+        return number, order, (labels, new_sources, new_targets)
 
     def canonical(self) -> CanonicalForm:
-        """Deterministic relabeling: vertices 0..n-1, edges 0..m-1, numbered
-        by the walk from the basepoint (``_walk_from``).
+        """Deterministic renumbering of vertices and edges by the walk from
+        the basepoint (``_walk_from``); edges come sorted by (source, label).
 
         Two properly labeled, connected, based graphs have equal canonical
         forms exactly when an isomorphism maps one onto the other, basepoint
@@ -358,36 +376,36 @@ class LabeledGraph:
         if self.basepoint is None:
             raise ValueError("a canonical form needs a basepoint")
         walk = self._walk_from(self.basepoint)
-        if len(walk[0]) != len(self._vertex_order):
+        if len(walk[1]) != self.vertex_count:
             raise ValueError("the walk from the basepoint does not reach every vertex")
         return self._canonical_form(*walk)
 
-    def _canonical_form(self, number: dict, edges: dict, edge_map: dict) -> CanonicalForm:
+    def _canonical_form(self, number: list, order: list, edges: tuple) -> CanonicalForm:
         """The canonical form that the walk from the basepoint gives, the
         walk having reached every vertex of this properly labeled graph;
         built by the validating constructor."""
-        graph = LabeledGraph(self.rank, range(len(number)), edges, basepoint=number[self.basepoint])
-        return CanonicalForm(graph, number, edge_map)
+        graph = LabeledGraph(self.rank, len(order), *edges, basepoint=0)
+        return CanonicalForm(graph, number)
 
     def __eq__(self, other: object) -> bool:
-        """Structural identity: same ids, edges and basepoint."""
+        """Structural identity: same numbering, edges, basepoint and
+        projections."""
         if not isinstance(other, LabeledGraph):
             return NotImplemented
         return (
             self.rank == other.rank
             and self.basepoint == other.basepoint
-            and set(self._vertex_order) == set(other._vertex_order)
-            and self._edge == other._edge
+            and self.vertex_count == other.vertex_count
+            and self._labels == other._labels
+            and self._sources == other._sources
+            and self._targets == other._targets
+            and self.projections == other.projections
         )
 
     def __hash__(self) -> int:
         return hash(
-            (
-                self.rank,
-                self.basepoint,
-                frozenset(self._vertex_order),
-                frozenset((e, rec) for e, rec in self._edge.items()),
-            )
+            (self.rank, self.basepoint, self.vertex_count,
+             tuple(self._labels), tuple(self._sources), tuple(self._targets))
         )
 
     def __repr__(self) -> str:
@@ -404,20 +422,20 @@ class LabeledGraph:
         Vertices are numbered by :meth:`canonical`, so the output is
         reproducible; where that raises (an improperly labeled or unbased
         graph, or one the basepoint's walk does not cover), they are
-        numbered by their sorted identifiers instead.
+        numbered by their numbers sorted as text instead.
         """
         alphabet = Alphabet(self.rank)
         try:
             vmap = self.canonical().vertex_map
         except ValueError:
-            vmap = {v: i for i, v in enumerate(sorted(self._vertex_order, key=repr))}
+            vmap = [0] * self.vertex_count
+            for i, v in enumerate(sorted(self.vertices, key=repr)):
+                vmap[v] = i
         lines = ["digraph core {", "  rankdir=LR;"]
-        for v in sorted(self._vertex_order, key=lambda u: vmap[u]):
+        for v in sorted(self.vertices, key=vmap.__getitem__):
             shape = "doublecircle" if v == self.basepoint else "circle"
             lines.append(f'  {vmap[v]} [shape={shape}, label="{vmap[v]}"];')
-        edge_rows = sorted(
-            (vmap[src], label, vmap[dst]) for _, (label, src, dst) in self._edge.items()
-        )
+        edge_rows = sorted((vmap[src], label, vmap[dst]) for _, label, src, dst in self.edges())
         for src, label, dst in edge_rows:
             color = _DOT_COLORS[label % len(_DOT_COLORS)]
             lines.append(
@@ -450,22 +468,25 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
         alphabet = gens[0].alphabet
     if any(w.alphabet != alphabet for w in gens):
         raise ValueError("generators use mismatched alphabets")
-    edges: dict = {}
-    laid: dict = {}  # (vertex, signed letter) -> far end of the first dart laid there
+    labels: list = []
+    sources: list = []
+    targets: list = []
+    stride = 2 * alphabet.rank + 1  # a dart is keyed vertex * stride + signed letter
+    laid: dict = {}  # dart -> far end of the first dart laid there
     next_vertex = 1
 
-    def read(v, letters) -> tuple[int, Hashable]:
+    def read(v, letters) -> tuple[int, int]:
         """How many of ``letters`` read from ``v``, and the vertex reached."""
         count = 0
         for letter in letters:
-            w = laid.get((v, letter))
+            w = laid.get(v * stride + letter)
             if w is None:
                 break
             v = w
             count += 1
         return count, v
 
-    def lay(v, letters, end=None) -> Hashable:
+    def lay(v, letters, end=None) -> int:
         """A path from ``v`` spelling ``letters`` through new vertices, ending
         at ``end`` when one is given; returns its last vertex."""
         nonlocal next_vertex
@@ -476,11 +497,15 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
                 w = next_vertex
                 next_vertex += 1
             if letter > 0:
-                edges[len(edges)] = (letter - 1, v, w)
+                labels.append(letter - 1)
+                sources.append(v)
+                targets.append(w)
             else:
-                edges[len(edges)] = (-letter - 1, w, v)
-            laid.setdefault((v, letter), w)
-            laid.setdefault((w, -letter), v)
+                labels.append(-letter - 1)
+                sources.append(w)
+                targets.append(v)
+            laid.setdefault(v * stride + letter, w)
+            laid.setdefault(w * stride - letter, v)
             v = w
         return v
 
@@ -497,40 +522,49 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
         head, y = read(x, c[:-1])
         tail, z = read(x, [-letter for letter in reversed(c[head + 1 :])])
         lay(y, c[head : len(c) - tail], z)
-    return LabeledGraph(alphabet.rank, range(next_vertex), edges, basepoint=0)
+    return LabeledGraph(alphabet.rank, next_vertex, labels, sources, targets, basepoint=0)
 
 
 def based_product(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """The component of the basepoint pair in the product of two graphs.
 
-    Product vertices are pairs (v1, v2) and product edges pairs (e1, e2)
-    of equally labeled edges, so the coordinates are the two projections.
-    Only this one component is grown, from the basepoint pair outwards.
-    Both graphs must be properly labeled.
+    A product vertex is a pair of factor vertices and a product edge a pair
+    of equally labeled factor edges.  Only this one component is grown,
+    from the basepoint pair outwards, numbering the pairs as the walk
+    reaches them; the graph's ``projections`` are the pairs' two
+    coordinates.  Both graphs must be properly labeled.
     """
     if not (g1.is_properly_labeled() and g2.is_properly_labeled()):
         raise ImproperLabelingError("the product needs properly labeled factors")
-    start = (g1.basepoint, g2.basepoint)
-    seen = {start}
-    vertices = [start]
-    edges: dict = {}
-    rows1, edge1, rows2, edge2 = g1._rows, g1._edge, g2._rows, g2._edge
-    for pair in vertices:  # vertices grows while it is walked
-        for slot, (e1, e2) in enumerate(zip(rows1[pair[0]], rows2[pair[1]])):
-            if e1 is None or e2 is None:
+    slots1, sources1, targets1 = g1._slots, g1._sources, g1._targets
+    slots2, sources2, targets2 = g2._slots, g2._sources, g2._targets
+    width, n2 = 2 * g1.rank, g2.vertex_count
+    left, right = [g1.basepoint], [g2.basepoint]
+    number = {g1.basepoint * n2 + g2.basepoint: 0}  # v1 * n2 + v2 -> product vertex
+    labels, sources, targets = [], [], []
+    for v1, v2 in zip(left, right):  # the lists grow while walked
+        i = number[v1 * n2 + v2]  # the int that the targets hold, not a copy of it
+        base1, base2 = v1 * width, v2 * width
+        for slot in range(width):
+            e1 = slots1[base1 + slot]
+            if e1 < 0:
                 continue
-            label, src1, dst1 = edge1[e1]
-            _, src2, dst2 = edge2[e2]
+            e2 = slots2[base2 + slot]
+            if e2 < 0:
+                continue
             if slot & 1:
-                far = (src1, src2)
-                edges[e1, e2] = (label, far, pair)
+                w1, w2 = sources1[e1], sources2[e2]
             else:
-                far = (dst1, dst2)
-                edges[e1, e2] = (label, pair, far)
-            if far not in seen:
-                seen.add(far)
-                vertices.append(far)
-    return LabeledGraph(g1.rank, vertices, edges, basepoint=start)
+                w1, w2 = targets1[e1], targets2[e2]
+            j = number.setdefault(w1 * n2 + w2, len(left))
+            if j == len(left):
+                left.append(w1)
+                right.append(w2)
+            if not slot & 1:  # each product edge is laid at its outgoing dart
+                labels.append(slot >> 1)
+                sources.append(i)
+                targets.append(j)
+    return LabeledGraph(g1.rank, len(left), labels, sources, targets, 0, (left, right))
 
 
 # -- folding -----------------------------------------------------------------------
@@ -538,40 +572,41 @@ def based_product(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
 
 @dataclass(frozen=True, slots=True)
 class FoldResult:
-    """Folded graph plus the original -> surviving id correspondences."""
+    """Folded graph plus the new number of each original vertex and edge."""
 
     graph: LabeledGraph
-    vertex_map: dict
-    edge_map: dict
+    vertex_map: Sequence[int]
+    edge_map: Sequence[int]
 
 
 def fold_to_immersion(g: LabeledGraph) -> FoldResult:
     """Identify equally labeled edges sharing an endpoint until properly labeled.
 
     Each vertex root a fold touches keeps a table from dart slot to one
-    edge, started from its row and its clash list; a second edge of a slot
-    the table holds is queued as a pair to identify.  Identifying a pair
-    unions the two edges and their far ends, and merging two vertices pours
-    the smaller table into the larger, queuing a pair for each slot both
-    hold.  The queue starts at the graph's clashes, so the work grows with
-    the identifications made, plus one rebuild when there is any.
-    Disjoint-set partitions over vertices and edges record them; a
-    surviving edge is an edge root.  Any order of folds gives the same
+    edge, started from its dart slots and its clash list; a second edge of
+    a slot the table holds is queued as a pair to identify.  Identifying a
+    pair unions the two edges and their far ends, and merging two vertices
+    pours the smaller table into the larger, queuing a pair for each slot
+    both hold.  The queue starts at the graph's clashes, so the work grows
+    with the identifications made, plus one rebuild when there is any.
+    Disjoint-set partitions over vertices and edges record them, and
+    number the classes by least member.  Any order of folds gives the same
     quotient.
     """
-    edge, rows, clashes = g._edge, g._rows, g._clashes
-    vparts = DisjointSet(g._vertex_order)
-    eparts = DisjointSet(edge)
+    slots, sources, targets, clashes = g._slots, g._sources, g._targets, g._clashes
+    n, m, width = g.vertex_count, g.edge_count, 2 * g.rank
+    if not clashes:
+        return FoldResult(g, range(n), range(m))
+    vparts, eparts = DisjointSet(n), DisjointSet(m)
     find_v, find_e = vparts.find, eparts.find  # hoisted: the loop is hot
-    merged_vertices: list = []
-    merged_edges: list = []
     pairs: deque = deque()  # (held edge, edge to identify with it, slot at the shared end)
     darts: dict = {}  # root vertex -> slot -> edge
 
     def dart_table(v):
         table = darts.get(v)
         if table is None:  # v has absorbed nothing, so g's darts at v are all of them
-            table = darts[v] = {slot: e for slot, e in enumerate(rows[v]) if e is not None}
+            base = v * width
+            table = darts[v] = {s: e for s, e in enumerate(slots[base : base + width]) if e >= 0}
             for slot, e in clashes.get(v, ()):
                 pairs.append((table[slot], e, slot))
         return table
@@ -585,43 +620,34 @@ def fold_to_immersion(g: LabeledGraph) -> FoldResult:
         if keep == drop:
             continue
         eparts.union(keep, drop)
-        merged_edges.append(drop)
-        far = 1 if slot & 1 else 2  # the record index of the far end
-        t1, t2 = find_v(edge[keep][far]), find_v(edge[drop][far])
+        ends = sources if slot & 1 else targets  # the far ends of this kind of dart
+        t1, t2 = find_v(ends[keep]), find_v(ends[drop])
         if t1 == t2:
             continue
         table1, table2 = dart_table(t1), dart_table(t2)
         if len(table1) < len(table2):
             t1, t2, table1, table2 = t2, t1, table2, table1
         vparts.union(t1, t2)
-        merged_vertices.append(t2)
         del darts[t2]
         for slot, e in table2.items():
             held = table1.setdefault(slot, e)
             if held != e:
                 pairs.append((held, e, slot))
 
-    if not merged_edges:
-        folded = g
-    else:
-        # every non-root was merged once; finding it points it at its root,
-        # so the parent tables become the correspondence maps
-        for x in merged_vertices:
-            find_v(x)
-        for e in merged_edges:
-            find_e(e)
-        vmap = vparts.parent
-        gone = set(merged_edges)
-        edges = {
-            e: (label, vmap[src], vmap[dst])
-            for e, (label, src, dst) in edge.items()
-            if e not in gone
-        }
-        bp = None if g.basepoint is None else vmap[g.basepoint]
-        folded = LabeledGraph(g.rank, dict.fromkeys(vmap.values()), edges, basepoint=bp)
+    vertex_map, edge_map = vparts.numbering(), eparts.numbering()
+    # one member of each edge class, in class order; all share one record
+    kept = list(dict(zip(edge_map, range(m))).values())
+    folded = LabeledGraph(
+        g.rank,
+        max(vertex_map) + 1,
+        [g._labels[e] for e in kept],
+        [vertex_map[sources[e]] for e in kept],
+        [vertex_map[targets[e]] for e in kept],
+        basepoint=None if g.basepoint is None else vertex_map[g.basepoint],
+    )
     if folded._clashes:
         raise ImproperLabelingError("folding left two darts with one label and direction")
-    return FoldResult(folded, vparts.parent, eparts.parent)
+    return FoldResult(folded, vertex_map, edge_map)
 
 
 def trim_to_core(g: LabeledGraph, *, keep_basepoint: bool = True) -> LabeledGraph:
@@ -630,31 +656,39 @@ def trim_to_core(g: LabeledGraph, *, keep_basepoint: bool = True) -> LabeledGrap
     Returns ``g`` itself when nothing is cut and the basepoint stays, which
     graphs, being values, allow.
     """
-    protected = g.basepoint if keep_basepoint else None
-    rows, clashes = g._rows, g._clashes
-    degree = g._valences()
-    dead_vertices: set = set()
-    dead_edges: set = set()
-    queue = deque(v for v, d in degree.items() if d <= 1 and v != protected)
+    return _trimmed(g, g.basepoint if keep_basepoint else None)[0]
+
+
+def _has_hair(degree: list, protected: int | None) -> bool:
+    """Whether a vertex other than ``protected`` has valence <= 1."""
+    return degree.count(0) + degree.count(1) > (protected is not None and degree[protected] <= 1)
+
+
+def _trimmed(g: LabeledGraph, protected: int | None) -> tuple[LabeledGraph, Sequence[int]]:
+    """:func:`trim_to_core` protecting ``protected`` (or no vertex), with
+    the surviving vertices of ``g`` in order, core vertex ``i`` being the
+    ``i``-th of them."""
+    degree = g._degree
+    if not _has_hair(degree, protected):
+        return (g if protected == g.basepoint else g.with_basepoint(protected)), g.vertices
+    queue = deque(v for v, d in enumerate(degree) if d <= 1 and v != protected)
+    slots, clashes, sources, targets = g._slots, g._clashes, g._sources, g._targets
+    width = 2 * g.rank
+    degree = degree[:]
+    dead = [False] * g.vertex_count
+    dead_edge = [False] * g.edge_count
     while queue:
         v = queue.popleft()
-        if v in dead_vertices or degree[v] > 1:
+        if dead[v] or degree[v] > 1:
             continue
-        dead_vertices.add(v)
-        for e in rows[v] + [e for _, e in clashes.get(v, ())]:
-            if e is None or e in dead_edges:
+        dead[v] = True
+        for e in slots[v * width : (v + 1) * width] + [e for _, e in clashes.get(v, ())]:
+            if e < 0 or dead_edge[e]:
                 continue
-            dead_edges.add(e)
-            _, src, dst = g._edge[e]
-            for endpoint in (src, dst):
+            dead_edge[e] = True
+            for endpoint in (sources[e], targets[e]):
                 degree[endpoint] -= 1
-                if (
-                    endpoint not in dead_vertices
-                    and degree[endpoint] <= 1
-                    and endpoint != protected
-                ):
+                if not dead[endpoint] and degree[endpoint] <= 1 and endpoint != protected:
                     queue.append(endpoint)
-    if not dead_vertices and protected == g.basepoint:
-        return g
-    keep = {v for v in g._vertex_order if v not in dead_vertices}
-    return g.subgraph(keep, basepoint=protected)
+    kept = [v for v in g.vertices if not dead[v]]
+    return g.subgraph(kept, basepoint=protected), kept

@@ -87,23 +87,25 @@ def incidence_matrix(
 ) -> IncidenceMatrix:
     """Pair the branch vertices of two normalized cores through their meet.
 
-    ``meet_core`` is the pair's based meet core in product coordinates, as
-    :func:`based_meet_core` builds it; None builds it here.
+    ``meet_core`` is the pair's based meet core with its product
+    projections, as :func:`based_meet_core` builds it; None builds it here.
     """
     _require_normalized(H.graph, "left")
     _require_normalized(K.graph, "right")
     meet = based_meet_core(H, K) if meet_core is None else meet_core
-    meet_branch = set()
-    for v in meet.vertices:
-        if meet.valence(v) >= 3:
-            x, y = v
-            if not (H.graph.has_vertex(x) and K.graph.has_vertex(y)):
+    if meet.projections is None:
+        raise ValueError("meet core has no product projections")
+    n_K = K.graph.vertex_count
+    meet_branch = set()  # left vertex * n_K + right vertex of each meet branch vertex
+    for x, y, d in zip(*meet.projections, meet._degree):
+        if d >= 3:
+            if not (0 <= x < H.graph.vertex_count and 0 <= y < n_K):
                 raise ValueError("meet core does not project into the given pair")
-            meet_branch.add((x, y))
+            meet_branch.add(x * n_K + y)
     rows = branch_vertices(H.graph)
     cols = branch_vertices(K.graph)
     entries = tuple(
-        tuple(1 if (x, y) in meet_branch else 0 for y in cols) for x in rows
+        tuple(1 if x * n_K + y in meet_branch else 0 for y in cols) for x in rows
     )
     if len(meet_branch) != sum(sum(row) for row in entries):
         raise ValueError("a meet branch vertex projects to a non-branch vertex")
@@ -176,7 +178,8 @@ def normal_form(M: IncidenceMatrix, pushout: PushoutResult) -> NormalForm:
     def classify(side, vertices, what):
         out = []
         for v in vertices:
-            c = stars.assignment.get((side, v))
+            classes = stars.assignment[side]
+            c = classes[v] if 0 <= v < len(classes) else None
             if c is None:
                 raise ValueError(
                     f"{what} vertex {v!r} is not a 3-valent vertex of the pushout input"
@@ -286,16 +289,16 @@ def bipartite_delta(M: IncidenceMatrix, nf: NormalForm | None = None) -> Biparti
     rows, cols = M.shape
     if nf is not None and (len(nf.row_perm), len(nf.col_perm)) != (rows, cols):
         raise ValueError("normal form does not match the matrix shape")
-    parts = DisjointSet([(0, i) for i in range(rows)] + [(1, j) for j in range(cols)])
+    parts = DisjointSet(rows + cols)  # row i is i, column j is rows + j
     edges = 0
     for i, row in enumerate(M.entries):
         for j, x in enumerate(row):
             if x:
                 edges += 1
-                parts.union((0, i), (1, j))
+                parts.union(i, rows + j)
     if edges != M.entry_sum:
         raise ValueError("one pairing edge per 1-entry needs matrix entries of 0 or 1")
-    components = len(parts.classes())
+    components = max(parts.numbering(), default=-1) + 1
     return BipartiteSummary(
         edge_count=edges,
         component_count=components,

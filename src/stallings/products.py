@@ -9,9 +9,10 @@ controls the join.  No construction here builds the whole product: the
 meet grows the basepoint's component alone, and the double cosets read
 the segments of one core between its branch vertices in the other.
 
-Throughout, product vertices are coordinate pairs (left vertex, right
-vertex) and product edges are pairs (left edge, right edge); the
-projection maps are literally the coordinate projections.
+Throughout, a product graph is numbered densely like any other graph and
+keeps its coordinates as two projection lists (``projections``): the left
+and the right factor vertex of each product vertex.  A product edge is the
+pair of factor edges that its label reads from its source's coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Subgroup, _from_core_form
-from .graphs import DisjointSet, LabeledGraph, based_product, fold_to_immersion, trim_to_core
+from .graphs import (
+    DisjointSet,
+    LabeledGraph,
+    _trimmed,
+    based_product,
+    fold_to_immersion,
+    trim_to_core,
+)
 
 LEFT = 0
 RIGHT = 1
@@ -31,7 +39,8 @@ RIGHT = 1
 
 
 def based_meet_core(H: Subgroup, K: Subgroup) -> LabeledGraph:
-    """The intersection's core in product coordinates (basepoint kept)."""
+    """The intersection's core, basepoint kept, with the two factor
+    vertices of each of its vertices as its ``projections``."""
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
     return trim_to_core(based_product(H.graph, K.graph))
@@ -48,9 +57,10 @@ def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
 @dataclass(frozen=True, slots=True)
 class JoinResult:
     subgroup: Subgroup
-    # factor core vertex -> canonical join core vertex (None when trimmed away)
-    left_vertex_map: dict
-    right_vertex_map: dict
+    # per factor core vertex, its canonical join core vertex (None when
+    # trimmed away)
+    left_vertex_map: list
+    right_vertex_map: list
 
 
 def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
@@ -69,28 +79,31 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
-    rows, edge, rows_K, edge_K = gH._rows, gH._edge, gK._rows, gK._edge
-    # subgroup cores are canonically numbered 0..n-1, so laid ids follow H's
-    edges = dict(edge)
-    next_vertex = gH.vertex_count
-    laid: dict = {}  # (vertex, slot) -> far end of the first dart laid there
-    place = {gK.basepoint: gH.basepoint}  # K vertex -> vertex of the graph read
+    width, n_H = 2 * gH.rank, gH.vertex_count
+    slots, ends = gH._slots, (gH._targets, gH._sources)  # far ends of even / odd slots
+    slots_K, ends_K = gK._slots, (gK._targets, gK._sources)
+    labels, sources, targets = gH._labels[:], gH._sources[:], gH._targets[:]
+    next_vertex = n_H
+    laid: dict = {}  # vertex * width + slot -> far end of the first dart laid there
+    place = [-1] * gK.vertex_count  # K vertex -> vertex of the graph read
+    place[gK.basepoint] = gH.basepoint
     order = [gK.basepoint]
-    done: set = set()  # K edges read
+    done = [False] * gK.edge_count  # K edges read
     for v in order:  # order grows while it is walked
         x = place[v]
-        row = rows.get(x)  # None at a laid vertex
-        for slot, e in enumerate(rows_K[v]):
-            if e is None or e in done:
+        base_K = v * width
+        base = x * width if x < n_H else -1  # -1 at a laid vertex
+        for slot in range(width):
+            e = slots_K[base_K + slot]
+            if e < 0 or done[e]:
                 continue
-            done.add(e)
-            label, src, dst = edge_K[e]
-            far = 1 if slot & 1 else 2  # the record index of the far end
-            held = None if row is None else row[slot]
-            y = laid.get((x, slot)) if held is None else edge[held][far]
-            w = dst if far == 2 else src
-            z = place.get(w)
-            if z is None:
+            done[e] = True
+            odd = slot & 1
+            held = slots[base + slot] if base >= 0 else -1
+            y = ends[odd][held] if held >= 0 else laid.get(x * width + slot)
+            w = ends_K[odd][e]
+            z = place[w]
+            if z < 0:
                 order.append(w)
                 if y is not None:
                     place[w] = y
@@ -99,18 +112,23 @@ def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
                 next_vertex += 1
             elif z == y:
                 continue
-            edges[len(edges)] = (label, x, z) if far == 2 else (label, z, x)
-            laid.setdefault((x, slot), z)
-            laid.setdefault((z, slot ^ 1), x)
-    read = LabeledGraph(gH.rank, range(next_vertex), edges, basepoint=gH.basepoint)
+            labels.append(slot >> 1)
+            sources.append(z if odd else x)
+            targets.append(x if odd else z)
+            laid.setdefault(x * width + slot, z)
+            laid.setdefault(z * width + (slot ^ 1), x)
+    read = LabeledGraph(gH.rank, next_vertex, labels, sources, targets, basepoint=gH.basepoint)
     folded = fold_to_immersion(read)
-    core = trim_to_core(folded.graph)
+    core, kept = _trimmed(folded.graph, folded.graph.basepoint)
     sub, canon = _from_core_form(core, H.alphabet, H.generators + K.generators)
-    image, fold = canon.vertex_map.get, folded.vertex_map
+    image = [None] * folded.graph.vertex_count  # folded vertex -> canonical join vertex
+    for i, x in enumerate(kept):
+        image[x] = canon.vertex_map[i]
+    fold = folded.vertex_map
     return JoinResult(
         sub,
-        {v: image(fold[v]) for v in gH.vertices},
-        {v: image(fold[place[v]]) for v in gK.vertices},
+        [image[fold[x]] for x in range(n_H)],
+        [image[fold[x]] for x in place],
     )
 
 
@@ -127,8 +145,8 @@ class StarClassSummary:
     """Equivalence classes of 3-valent vertex stars under star identification."""
 
     count: int
-    # tagged (side, vertex) -> class index
-    assignment: dict
+    # per side, each vertex's class index (None unless 3-valent)
+    assignment: tuple[list, list]
     # quotient vertex -> class indices of the stars mapping onto it
     by_quotient_vertex: dict
 
@@ -139,6 +157,9 @@ class PushoutResult:
     Vertices and edges of the two sides are identified whenever some
     supplied core maps onto both at once; the quotient generally fails to
     be properly labeled, and folding it recovers the join's core.
+    ``vertex_class[side][v]`` is the quotient vertex of vertex ``v`` of
+    side ``side`` (:data:`LEFT` or :data:`RIGHT`), and ``edge_class``
+    likewise for edges.
     """
 
     def __init__(
@@ -146,26 +167,22 @@ class PushoutResult:
         left: LabeledGraph,
         right: LabeledGraph,
         graph: LabeledGraph,
-        vertex_class: dict,
-        edge_class: dict,
+        vertex_class: tuple[list, list],
+        edge_class: tuple[list, list],
         star_seeds: tuple = (),
     ):
         self.left = left
         self.right = right
         self.graph = graph
-        self.vertex_class = vertex_class  # (side, vertex) -> quotient vertex
-        self.edge_class = edge_class  # (side, edge) -> quotient edge
-        # ((LEFT, u), (RIGHT, v)) pairs whose full stars a core identifies
+        self.vertex_class = vertex_class
+        self.edge_class = edge_class
+        # (left vertex, right vertex) pairs whose full stars a core identifies
         self.star_seeds = star_seeds
         self._star_classes: StarClassSummary | None = None
 
     @property
     def chi(self) -> int:
         return self.graph.chi
-
-    def _sides(self):
-        yield LEFT, self.left
-        yield RIGHT, self.right
 
     def star_classes(self) -> StarClassSummary:
         """Partition the 3-valent stars by the identifications the cores force.
@@ -174,26 +191,32 @@ class PushoutResult:
         star on each side, identifying the two in full; the classes are
         the transitive closure of those identifications.  A star no such
         vertex reaches stays a singleton, even when its darts happen to
-        land on the same quotient edges as another star's.  Computed once
-        per pushout.
+        land on the same quotient edges as another star's.  Classes are
+        numbered by their first member, left vertices before right ones.
+        Computed once per pushout.
         """
         if self._star_classes is not None:
             return self._star_classes
-        parts = DisjointSet()
-        for side, graph in self._sides():
-            for v in graph.vertices:
-                if graph.valence(v) == 3:
-                    parts.add((side, v))
-        for a, b in self.star_seeds:
-            if a in parts.parent and b in parts.parent:
+        # a left vertex is coded by its number and a right one by its number
+        # past the left's
+        n_left = self.left.vertex_count
+        stars = [v for v, d in enumerate(self.left._degree) if d == 3]
+        stars += [n_left + v for v, d in enumerate(self.right._degree) if d == 3]
+        element = {c: i for i, c in enumerate(stars)}  # 3-valent code -> union-find element
+        parts = DisjointSet(len(stars))
+        for u, v in self.star_seeds:
+            a, b = element.get(u), element.get(n_left + v)
+            if a is not None and b is not None:
                 parts.union(a, b)
-        classes = sorted(parts.classes())
-        assignment = {tagged: index for index, members in enumerate(classes) for tagged in members}
+        assignment = ([None] * n_left, [None] * self.right.vertex_count)
         by_vertex: dict = defaultdict(set)
-        for tagged, index in assignment.items():
-            by_vertex[self.vertex_class[tagged]].add(index)
+        classes = parts.numbering()
+        for c, k in zip(stars, classes):
+            side, v = (LEFT, c) if c < n_left else (RIGHT, c - n_left)
+            assignment[side][v] = k
+            by_vertex[self.vertex_class[side][v]].add(k)
         self._star_classes = StarClassSummary(
-            count=len(classes),
+            count=max(classes, default=-1) + 1,
             assignment=assignment,
             by_quotient_vertex={z: tuple(sorted(s)) for z, s in by_vertex.items()},
         )
@@ -201,23 +224,17 @@ class PushoutResult:
 
     def special_vertices(self) -> list:
         """Quotient branch vertices with no branch vertex above them."""
-        out = []
         branched_under: set = set()
-        for side, graph in self._sides():
-            for v in graph.vertices:
-                if graph.valence(v) >= 3:
-                    branched_under.add(self.vertex_class[(side, v)])
-        for z in self.graph.vertices:
-            if self.graph.valence(z) >= 3 and z not in branched_under:
-                out.append(z)
-        return out
+        for side, graph in ((LEFT, self.left), (RIGHT, self.right)):
+            classes = self.vertex_class[side]
+            branched_under.update(classes[v] for v, d in enumerate(graph._degree) if d >= 3)
+        return [z for z, d in enumerate(self.graph._degree) if d >= 3 and z not in branched_under]
 
     def valence_bound_violations(self) -> list:
         """Branch vertices whose valence exceeds 2 + (star classes above)."""
         stars = self.star_classes()
         out = []
-        for z in self.graph.vertices:
-            valence = self.graph.valence(z)
+        for z, valence in enumerate(self.graph._degree):
             if valence >= 3:
                 allowed = 2 + len(stars.by_quotient_vertex.get(z, ()))
                 if valence > allowed:
@@ -237,68 +254,71 @@ class PushoutResult:
         """Whether :meth:`folded_core` equals the canonical subgroup core
         ``core``, checked on one walk of the folded quotient."""
         g = trim_to_core(fold_to_immersion(self.graph).graph)
-        number, edges, _ = g._walk_from(g.basepoint)
-        return (len(number) == g.vertex_count == core.vertex_count and g.rank == core.rank
-                and core.basepoint == 0 and edges == core._edge)
+        _, order, edges = g._walk_from(g.basepoint)
+        return (len(order) == g.vertex_count == core.vertex_count and g.rank == core.rank
+                and core.basepoint == 0
+                and edges == (core._labels, core._sources, core._targets))
 
 
 def topological_pushout(
     H: Subgroup, K: Subgroup, cores: Iterable[LabeledGraph]
 ) -> PushoutResult:
-    """Quotient the two cores along product-coordinate core graphs.
+    """Quotient the two cores along core graphs with product projections.
 
-    Each supplied core must have vertex pairs / edge pairs for identifiers,
-    its coordinates giving the two immersions.  Supplying the based meet
-    core yields the join-controlling quotient; supplying every
-    positive-rank product component tightens it further.
+    Each supplied core's ``projections`` give its two immersions, into H's
+    core and into K's; each of its edges must read, from the coordinates
+    of its source, a factor edge to the coordinates of its target.
+    Supplying the based meet core yields the join-controlling quotient;
+    supplying every positive-rank product component tightens it further.
     """
     if H.alphabet != K.alphabet:
         raise ValueError("alphabet mismatch")
     gH, gK = H.graph, K.graph
-    # subgroup cores are canonically numbered, so a left vertex or edge is
-    # coded by its id and a right one by its id past the left's
-    n_H, m_H = gH.vertex_count, gH.edge_count
-    vparts, eparts = DisjointSet(), DisjointSet()
+    # a left vertex or edge is coded by its number and a right one by its
+    # number past the left's
+    n_H, m_H, width = gH.vertex_count, gH.edge_count, 2 * gH.rank
+    slots_H, targets_H, slots_K, targets_K = gH._slots, gH._targets, gK._slots, gK._targets
+    vparts = DisjointSet(n_H + gK.vertex_count)
+    eparts = DisjointSet(m_H + gK.edge_count)
     star_seeds = []
     for core in cores:
-        for v in core.vertices:
-            vH, vK = v
-            if not (gH.has_vertex(vH) and gK.has_vertex(vK)):
-                raise ValueError(f"core vertex {v!r} does not project into both factors")
+        if core.projections is None:
+            raise ValueError("a pushout core needs product projections")
+        left, right = core.projections
+        if left and not (0 <= min(left) <= max(left) < n_H
+                         and 0 <= min(right) <= max(right) < gK.vertex_count):
+            raise ValueError("a core vertex does not project into both factors")
+        for vH, vK, d in zip(left, right, core._degree):
             vparts.union(vH, n_H + vK)
-            if core.valence(v) == 3:
-                star_seeds.append(((LEFT, vH), (RIGHT, vK)))
+            if d == 3:
+                star_seeds.append((vH, vK))
         for eid, label, src, dst in core.edges():
-            eH, eK = eid
-            if (
-                gH._edge.get(eH) != (label, src[0], dst[0])
-                or gK._edge.get(eK) != (label, src[1], dst[1])
-            ):
+            eH = slots_H[left[src] * width + 2 * label]
+            eK = slots_K[right[src] * width + 2 * label]
+            if eH < 0 or eK < 0 or targets_H[eH] != left[dst] or targets_K[eK] != right[dst]:
                 raise ValueError(f"core edge {eid!r} does not commute with the projections")
             eparts.union(eH, m_H + eK)
 
-    def classes(parts, count):
-        """Each code's class, numbered in code order (so by least code)."""
-        parent, find, index = parts.parent, parts.find, {}
-        return [index.setdefault(find(c) if c in parent else c, len(index)) for c in range(count)]
-
-    vertex_index = classes(vparts, n_H + gK.vertex_count)
-    edge_index = classes(eparts, m_H + gK.edge_count)
-    vertex_class, edge_class = {}, {}
-    quotient_edges: dict = {}  # quotient edge -> the record of its first member
-    for side, graph, n, m in ((LEFT, gH, 0, 0), (RIGHT, gK, n_H, m_H)):
-        for v in range(graph.vertex_count):
-            vertex_class[side, v] = vertex_index[n + v]
-        for e in range(graph.edge_count):
-            label, src, dst = graph._edge[e]
-            index = edge_class[side, e] = edge_index[m + e]
-            record = (label, vertex_index[n + src], vertex_index[n + dst])
-            if quotient_edges.setdefault(index, record) != record:
-                raise ValueError("identified edges disagree on label or endpoints")
-
-    basepoint = vertex_class[LEFT, gH.basepoint]
-    graph = LabeledGraph(gH.rank, range(max(vertex_index) + 1), quotient_edges, basepoint=basepoint)
-    return PushoutResult(gH, gK, graph, vertex_class, edge_class, star_seeds=tuple(star_seeds))
+    # each code's class, numbered by least code
+    vertex_index, edge_index = vparts.numbering(), eparts.numbering()
+    left, right = vertex_index[:n_H], vertex_index[n_H:]
+    # each edge's record in quotient vertices, by code: label, source, target
+    records = (
+        gH._labels + gK._labels,
+        list(map(left.__getitem__, gH._sources)) + list(map(right.__getitem__, gK._sources)),
+        list(map(left.__getitem__, gH._targets)) + list(map(right.__getitem__, gK._targets)),
+    )
+    member = list(dict(zip(edge_index, range(len(edge_index)))).values())  # one per class, in order
+    labels, sources, targets = ([column[e] for e in member] for column in records)
+    for column, quotient in zip(records, (labels, sources, targets)):
+        if list(map(quotient.__getitem__, edge_index)) != column:
+            raise ValueError("identified edges disagree on label or endpoints")
+    graph = LabeledGraph(
+        gH.rank, max(vertex_index) + 1, labels, sources, targets, basepoint=left[gH.basepoint]
+    )
+    return PushoutResult(
+        gH, gK, graph, (left, right), (edge_index[:m_H], edge_index[m_H:]), tuple(star_seeds)
+    )
 
 
 # -- double cosets -----------------------------------------------------------------
@@ -308,7 +328,7 @@ def topological_pushout(
 class DoubleCosetEntry:
     """One conjugacy class of nontrivial intersection with a conjugate."""
 
-    core: LabeledGraph  # unbased, product coordinates
+    core: LabeledGraph  # unbased, with product projections
     rank: int
     based: bool  # whether this component holds the pair of basepoints
 
@@ -349,40 +369,45 @@ def _over_budget() -> ReadBudgetError:
 def _segments(g: LabeledGraph) -> list:
     """The maximal segments of ``g``'s unbased core between branch vertices.
 
-    The stem of an extremal basepoint is dropped first.  A segment is
-    ``(start, end, keys)``, read from ``start`` by taking, for each key
-    ``(slot, far)`` in turn, the dart in that slot to the far end, item
-    ``far`` of its edge record.  Each segment is listed once, from one end,
-    the segments at an end in slot order.  A core that is a circle is one
-    segment, from and to its first vertex.
+    The stem of an extremal basepoint is dropped first, though segments
+    are given in ``g``'s own numbering.  A segment is
+    ``(start, end, slots)``, read from ``start`` by taking, for each slot
+    in turn, the dart in that slot to its far end.  Each segment is listed
+    once, from one end, the segments at an end in slot order.  A core that
+    is a circle is one segment, from and to its first vertex.
     """
+    kept = g.vertices  # the core's vertex i is g's kept[i]
     if g.basepoint is not None and g.valence(g.basepoint) <= 1:
-        g = trim_to_core(g, keep_basepoint=False)
-    edge, rows, width = g._edge, g._rows, 2 * g.rank
-    ends = [v for v, row in rows.items() if width - row.count(None) >= 3] or list(g.vertices[:1])
-    is_end = set(ends)
-    taken: set = set()
+        g, kept = _trimmed(g, None)
+    slots, far, width = g._slots, (g._targets, g._sources), 2 * g.rank
+    is_end = [d >= 3 for d in g._degree]
+    ends = [v for v in g.vertices if is_end[v]]
+    if not ends and g.vertex_count:  # a circle
+        ends = [0]
+        is_end[0] = True
+    taken = [False] * g.edge_count
     segments = []
     for x in ends:
-        for first, e in enumerate(rows[x]):
-            if e is None or e in taken:
+        for first in range(width):
+            e = slots[x * width + first]
+            if e < 0 or taken[e]:
                 continue
             keys = []
             slot = first
             while True:
-                taken.add(e)
-                far = 1 if slot & 1 else 2
-                here = edge[e][far]
-                keys.append((slot, far))
-                if here in is_end:
+                taken[e] = True
+                here = far[slot & 1][e]
+                keys.append(slot)
+                if is_end[here]:
                     break
                 # a vertex inside a segment has two darts and no loop: leave
                 # by the one that is not the dart e arrived by
                 back = slot ^ 1
-                for slot, e in enumerate(rows[here]):
-                    if e is not None and slot != back:
+                for slot in range(width):
+                    e = slots[here * width + slot]
+                    if e >= 0 and slot != back:
                         break
-            segments.append((x, here, tuple(keys)))
+            segments.append((kept[x], kept[here], tuple(keys)))
     return segments
 
 
@@ -392,7 +417,8 @@ def double_cosets(
     """Positive-rank components of the product, trimmed to unbased cores.
 
     Each entry realizes one double coset whose conjugate meets the left
-    factor nontrivially.  The based entry (when present) is listed first,
+    factor nontrivially; its core keeps the two coordinates of each vertex
+    as ``projections``.  The based entry (when present) is listed first,
     then the rest in decreasing rank; entries of equal rank come in a
     deterministic but unspecified order.  ``meet_core``, when given, must be
     :func:`based_meet_core` of the pair; it marks the based entry, and is
@@ -419,70 +445,83 @@ def double_cosets(
     gH, gK = H.graph, K.graph
     swap = K.rank * gH.vertex_count < H.rank * gK.vertex_count
     reader, target = (gK, gH) if swap else (gH, gK)
-    rows, edge = target._rows, target._edge
-    by_label: dict = defaultdict(list)  # label -> target edges as (id, src, dst)
-    for e, (label, src, dst) in edge.items():
-        by_label[label].append((e, src, dst))
+    width, n_target = 2 * gH.rank, target.vertex_count
+    slots, ends = target._slots, (target._targets, target._sources)
+    by_label: dict = defaultdict(list)  # label -> target edges as (src, dst)
+    for _, label, src, dst in target.edges():
+        by_label[label].append((src, dst))
 
-    parts = DisjointSet()
-    closing = []  # an end of each lift that closes a cycle
-    lifts = []  # (segment, first target vertex) of every segment read in full
+    element: dict = {}  # x * n_target + y -> union-find element of the pair (x, y)
+    lifts = []  # (segment, first target vertex, the elements of its ends) per full read
     read = 0
     for segment in _segments(reader):
         x0, x1, keys = segment
-        (first, _), rest = keys[0], keys[1:]
-        for _, src, dst in by_label[first >> 1]:
+        first, rest = keys[0], keys[1:]
+        for src, dst in by_label[first >> 1]:
             y0, y = (dst, src) if first & 1 else (src, dst)
-            for i, (slot, far) in enumerate(rest):
-                e = rows[y][slot]
-                if e is None:
+            for i, slot in enumerate(rest):
+                e = slots[y * width + slot]
+                if e < 0:
                     read += i + 2
                     break
-                y = edge[e][far]
+                y = ends[slot & 1][e]
             else:
                 read += len(keys) + HELD_WEIGHT
-                a = (x0, y0)
-                if not parts.union(a, (x1, y)):
-                    closing.append(a)
-                lifts.append((segment, y0))
+                a = element.setdefault(x0 * n_target + y0, len(element))
+                b = element.setdefault(x1 * n_target + y, len(element))
+                lifts.append((segment, y0, a, b))
             if read > READ_BUDGET:
                 raise _over_budget()
+    parts = DisjointSet(len(element))
+    closing = [a for _, _, a, b in lifts if not parts.union(a, b)]  # each closes a cycle
     if not closing:
         return DoubleCosetDecomposition(())
 
     find = parts.find
     cyclic = {find(a) for a in closing}
     # the layout is counted before it is laid
-    laid = sum(len(keys) for (x, _, keys), y in lifts if find((x, y)) in cyclic)
+    laid = sum(len(keys) for (_, _, keys), _, a, _ in lifts if find(a) in cyclic)
     if read + HELD_WEIGHT * laid > READ_BUDGET:
         raise _over_budget()
-    pieces: dict = defaultdict(dict)  # component root -> product edge -> record
-    for (x, _, keys), y in lifts:
-        root = find((x, y))
+    slots_r, ends_r = reader._slots, (reader._targets, reader._sources)
+    n_K = gK.vertex_count
+    pieces: dict = defaultdict(list)  # component root -> product edges as (label, src, dst) codes
+    for (x, _, keys), y, a, _ in lifts:
+        root = find(a)
         if root not in cyclic:
             continue
         edges = pieces[root]
-        for slot, far in keys:
-            ex, ey = reader._rows[x][slot], rows[y][slot]
-            x_next, y_next = reader._edge[ex][far], edge[ey][far]
-            near, far_end = (x, y), (x_next, y_next)
+        for slot in keys:
+            x_next = ends_r[slot & 1][slots_r[x * width + slot]]
+            y_next = ends[slot & 1][slots[y * width + slot]]
+            # a product vertex is coded as left vertex * n_K + right vertex
             if swap:
-                near, far_end, ex, ey = near[::-1], far_end[::-1], ey, ex
-            label = slot >> 1
-            edges[ex, ey] = (label, far_end, near) if slot & 1 else (label, near, far_end)
+                near, far = y * n_K + x, y_next * n_K + x_next
+            else:
+                near, far = x * n_K + y, x_next * n_K + y_next
+            edges.append((slot >> 1, far, near) if slot & 1 else (slot >> 1, near, far))
             x, y = x_next, y_next
 
-    anchor = None  # a vertex of the based entry's core
+    anchor = None  # a vertex of the based entry's core, as its coordinates
     if meet_core.edge_count >= meet_core.vertex_count:
-        anchor = next(
-            (v for v in meet_core.vertices if meet_core.valence(v) >= 3), meet_core.basepoint
-        )
+        v = next((v for v in meet_core.vertices if meet_core.valence(v) >= 3), meet_core.basepoint)
+        anchor = (meet_core.projections[0][v], meet_core.projections[1][v])
     entries = []
     for edges in pieces.values():
-        vertices = sorted({v for _, src, dst in edges.values() for v in (src, dst)})
-        piece = LabeledGraph(gH.rank, vertices, edges)
+        codes = sorted({c for _, src, dst in edges for c in (src, dst)})
+        number = {c: i for i, c in enumerate(codes)}
+        piece = LabeledGraph(
+            gH.rank,
+            len(codes),
+            [label for label, _, _ in edges],
+            [number[src] for _, src, _ in edges],
+            [number[dst] for _, _, dst in edges],
+            projections=([c // n_K for c in codes], [c % n_K for c in codes]),
+        )
         core = trim_to_core(piece, keep_basepoint=False)
         rank = piece.edge_count - piece.vertex_count + 1
-        entries.append(DoubleCosetEntry(core, rank, based=core.has_vertex(anchor)))
-    entries.sort(key=lambda entry: (not entry.based, -entry.rank, entry.core.vertices[0]))
+        entries.append(DoubleCosetEntry(core, rank, based=anchor in zip(*core.projections)))
+    entries.sort(key=lambda entry: (
+        not entry.based, -entry.rank, entry.core.projections[0][0], entry.core.projections[1][0]
+    ))
     return DoubleCosetDecomposition(tuple(entries))

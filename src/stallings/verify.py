@@ -23,7 +23,8 @@ from types import SimpleNamespace
 from .core import (
     Subgroup,
     TrivialIntersectionError,
-    _tree_paths,
+    _spanning_tree,
+    _tree_path,
     subgroup_graph,
     three_regularize,
 )
@@ -327,7 +328,9 @@ def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, 
     leaves the pair as it is.  Otherwise the meet core hangs from its
     basepoint on a stem, whose word reads in both factors; conjugating by
     its inverse rebases all three cores at the stem's far end, a branch
-    vertex of the meet core, without trimming anything.
+    vertex of the meet core.  Each factor core is rebased there, at the
+    projection of that vertex, and trimmed, rather than built again from
+    the conjugated generators.
     """
     H, K = three_regularize(H), three_regularize(K)
     # the meet is trivial when the based product component is a tree
@@ -336,8 +339,9 @@ def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, 
         raise TrivialIntersectionError("basepoint normalization needs a nontrivial intersection")
     meet_core = trim_to_core(product)
     if meet_core.valence(meet_core.basepoint) <= 1:
-        shift = ~_stem_word(meet_core)
-        H, K = H.conj(shift), K.conj(shift)
+        end, stem = _stem(meet_core)
+        x, y = meet_core.projections[0][end], meet_core.projections[1][end]
+        H, K = _rebased(H, x, ~stem), _rebased(K, y, ~stem)
         meet_core = based_meet_core(H, K)
     _require(
         all(g.valence(v) >= 2 for g in (H.graph, K.graph, meet_core) for v in g.vertices),
@@ -346,13 +350,21 @@ def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, 
     return H, K, meet_core
 
 
-def _stem_word(graph: LabeledGraph) -> Word:
-    """Letters along the unique path from an extremal basepoint to the
-    nearest vertex of valence >= 3."""
-    path, _ = _tree_paths(graph)
-    for v, letters in path.items():  # in walk order, nearest first
+def _rebased(H: Subgroup, x: int, shift: Word) -> Subgroup:
+    """``H.conj(shift)``, where ``~shift`` reads in H's core from the
+    basepoint to ``x``: H's core rebased at ``x`` and trimmed, wrapped with
+    the conjugated generators (each still traced in the new core)."""
+    core = trim_to_core(H.graph.with_basepoint(x))
+    return Subgroup.from_core(core, H.alphabet, [w.conj(shift) for w in H.generators])
+
+
+def _stem(graph: LabeledGraph) -> tuple[int, Word]:
+    """The nearest vertex of valence >= 3 to an extremal basepoint, and the
+    letters along the unique path to it."""
+    order, parent, letter_in, _ = _spanning_tree(graph, graph.basepoint)
+    for v in order:  # in walk order, nearest first
         if graph.valence(v) >= 3:
-            return Word(Alphabet(graph.rank), letters)
+            return v, Word(Alphabet(graph.rank), _tree_path(parent, letter_in, v))
     raise ValueError("no branch vertex reachable; cannot normalize a rank <= 0 core")
 
 
@@ -773,15 +785,14 @@ def check_squares_construction() -> dict:
         if po_uv.graph.canonical().graph != join_uv.graph:
             problems.append("wedge pushout is not the conjugated join's core")
 
-        carried = meet_core.relabeled(
-            {
-                (vH, vK): (rebased_left.vertex_map[vH], rebased_right.vertex_map[vK])
-                for vH, vK in meet_core.vertices
-            },
-            {
-                (eH, eK): (rebased_left.edge_map[eH], rebased_right.edge_map[eK])
-                for (eH, eK), _, _, _ in meet_core.edges()
-            },
+        left, right = meet_core.projections
+        carried = LabeledGraph(
+            meet_core.rank, meet_core.vertex_count,
+            meet_core._labels, meet_core._sources, meet_core._targets,
+            projections=(
+                [rebased_left.vertex_map[v] for v in left],
+                [rebased_right.vertex_map[v] for v in right],
+            ),
         )
         double_po = topological_pushout(Hu, Kv, [point_core, carried])
         detail["double_core_pushout"] = _graph_shape(double_po.graph)
@@ -801,12 +812,12 @@ def _graph_shape(graph: LabeledGraph) -> dict:
     }
 
 
-def _path_word(graph: LabeledGraph, src, dst) -> Word:
+def _path_word(graph: LabeledGraph, src: int, dst: int) -> Word:
     """Letters read along some shortest path from ``src`` to ``dst``."""
-    path, _ = _tree_paths(graph.with_basepoint(src))
-    if dst not in path:
+    _, parent, letter_in, _ = _spanning_tree(graph, src)
+    if dst != src and parent[dst] < 0:
         raise ValueError(f"no path from {src!r} to {dst!r}")
-    return Word(Alphabet(graph.rank), path[dst])
+    return Word(Alphabet(graph.rank), _tree_path(parent, letter_in, dst))
 
 
 # -- fiber-class probe ---------------------------------------------------------------
@@ -824,19 +835,15 @@ def imrich_muller_probe(H: Subgroup, K: Subgroup) -> dict:
     po = topological_pushout(H, K, [based_meet_core(H, K)])
 
     fibers: dict = {}
-    for side, vertex_map, graph in (
-        (LEFT, joined.left_vertex_map, H.graph),
-        (RIGHT, joined.right_vertex_map, K.graph),
-    ):
-        for v in graph.vertices:
-            z = vertex_map[v]
+    for side, vertex_map in ((LEFT, joined.left_vertex_map), (RIGHT, joined.right_vertex_map)):
+        for v, z in enumerate(vertex_map):
             if z is not None:
                 fibers.setdefault(z, []).append((side, v))
 
     per_vertex = []
     split = 0
     for z in sorted(fibers):
-        classes = {po.vertex_class[tagged] for tagged in fibers[z]}
+        classes = {po.vertex_class[side][v] for side, v in fibers[z]}
         if len(classes) >= 2:
             split += 1
         per_vertex.append(
@@ -847,11 +854,14 @@ def imrich_muller_probe(H: Subgroup, K: Subgroup) -> dict:
             }
         )
 
-    base_pair = sorted(
-        [(LEFT, H.graph.basepoint), (RIGHT, K.graph.basepoint)]
-    )
-    base_class = po.vertex_class[base_pair[0]]
-    members = sorted(t for t, c in po.vertex_class.items() if c == base_class)
+    base_pair = [(LEFT, H.graph.basepoint), (RIGHT, K.graph.basepoint)]
+    base_class = po.vertex_class[LEFT][H.graph.basepoint]
+    members = [
+        (side, v)
+        for side in (LEFT, RIGHT)
+        for v, c in enumerate(po.vertex_class[side])
+        if c == base_class
+    ]
     return {
         "fibers": per_vertex,
         "split_fiber_count": split,

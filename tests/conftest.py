@@ -18,7 +18,7 @@ from stallings import (
     trim_to_core,
 )
 from stallings.graphs import CanonicalForm, DisjointSet, based_product
-from stallings.verify import FAIL, NOT_APPLICABLE, PASS, _stem_word, fuzz_line
+from stallings.verify import FAIL, NOT_APPLICABLE, PASS, _stem, fuzz_line
 
 
 # The hand-checked pair whose meet core wraps once around a long loop while
@@ -33,24 +33,30 @@ def make(*texts):
     return subgroup_graph([RANK2.word(t) for t in texts], RANK2)
 
 
+def graph_of(rank, vertex_count, edges=(), basepoint=None, projections=None):
+    """A ``LabeledGraph`` from a list of (label, source, target) triples,
+    edge ``e`` being the ``e``-th."""
+    columns = [list(column) for column in zip(*edges)] or [[], [], []]
+    return LabeledGraph(rank, vertex_count, *columns, basepoint=basepoint, projections=projections)
+
+
 def wedge(g1, g2):
     """Glue two based graphs at their basepoints, with vertex maps from each
     factor into the wedge: the textbook first step of a join, kept as an
-    oracle for the join, which reads one core into the other instead."""
+    oracle for the join, which reads one core into the other instead.  The
+    wedge keeps g1's numbers and numbers g2's other vertices after them."""
     if g1.basepoint is None or g2.basepoint is None:
         raise ValueError("wedge requires basepoints on both factors")
     if g1.rank != g2.rank:
         raise ValueError("rank mismatch in wedge")
-    map1 = {v: (0, v) for v in g1.vertices}
-    map2 = {v: ((0, g1.basepoint) if v == g2.basepoint else (1, v)) for v in g2.vertices}
-    vertices = list(map1.values()) + [map2[v] for v in g2.vertices if v != g2.basepoint]
-    edges = {}
-    for eid, label, src, dst in g1.edges():
-        edges[(0, eid)] = (label, map1[src], map1[dst])
-    for eid, label, src, dst in g2.edges():
-        edges[(1, eid)] = (label, map2[src], map2[dst])
-    graph = LabeledGraph(g1.rank, vertices, edges, basepoint=(0, g1.basepoint))
-    return graph, map1, map2
+    map1 = list(g1.vertices)
+    map2 = []
+    for v in g2.vertices:
+        map2.append(g1.basepoint if v == g2.basepoint else g1.vertex_count + len(map2) - (v > g2.basepoint))
+    edges = [(label, map1[src], map1[dst]) for _, label, src, dst in g1.edges()]
+    edges += [(label, map2[src], map2[dst]) for _, label, src, dst in g2.edges()]
+    wedged = graph_of(g1.rank, g1.vertex_count + g2.vertex_count - 1, edges, basepoint=g1.basepoint)
+    return wedged, map1, map2
 
 
 def sorted_stars(graph):
@@ -116,17 +122,16 @@ def sorted_canonical(graph, *, based=True):
         number, code = min(map(encode, starts), key=lambda t: t[1])
         encoded.append(((not is_based, code), number))
     encoded.sort(key=lambda t: t[0])
-    vertex_map = {}
+    vertex_map = [0] * graph.vertex_count
+    offset = 0
     for _, number in encoded:
-        offset = len(vertex_map)
         for v, i in number.items():
             vertex_map[v] = offset + i
-    ordered = sorted((vertex_map[s], label, vertex_map[d], e) for e, label, s, d in graph.edges())
-    edges = {k: (label, s, d) for k, (s, label, d, _) in enumerate(ordered)}
-    edge_map = {e: k for k, (_, _, _, e) in enumerate(ordered)}
+        offset += len(number)
+    ordered = sorted((vertex_map[s], label, vertex_map[d]) for _, label, s, d in graph.edges())
     bp = vertex_map[graph.basepoint] if based and graph.basepoint is not None else None
-    canon = LabeledGraph(graph.rank, range(len(vertex_map)), edges, basepoint=bp)
-    return CanonicalForm(canon, vertex_map, edge_map)
+    canon = graph_of(graph.rank, graph.vertex_count, [(label, s, d) for s, label, d in ordered], bp)
+    return CanonicalForm(canon, vertex_map)
 
 
 def matched_pair_double_cosets(H, K):
@@ -135,31 +140,36 @@ def matched_pair_double_cosets(H, K):
     close a cycle, trimmed to unbased cores.  Kept as an oracle for the
     decomposition, which reads segments between branch vertices instead."""
     gH, gK = H.graph, K.graph
+    n_K = gK.vertex_count
     matched = [
-        ((eH, eK), label, (sH, sK), (dH, dK))
-        for eH, label, sH, dH in gH.edges()
-        for eK, label_K, sK, dK in gK.edges()
+        (label, sH * n_K + sK, dH * n_K + dK)  # a product vertex coded as vH * n_K + vK
+        for _, label, sH, dH in gH.edges()
+        for _, label_K, sK, dK in gK.edges()
         if label == label_K
     ]
-    parts = DisjointSet()
+    parts = DisjointSet(gH.vertex_count * n_K)
     closing = []
-    for _, _, u, w in matched:
-        parts.add(u)
-        parts.add(w)
+    for _, u, w in matched:
         if not parts.union(u, w):
             closing.append(u)
     cyclic = {parts.find(u) for u in closing}
-    pieces = defaultdict(dict)
-    for eid, label, u, w in matched:
+    pieces = defaultdict(list)
+    for label, u, w in matched:
         if parts.find(u) in cyclic:
-            pieces[parts.find(u)][eid] = (label, u, w)
-    base = (gH.basepoint, gK.basepoint)
+            pieces[parts.find(u)].append((label, u, w))
+    base = gH.basepoint * n_K + gK.basepoint
     entries = []
     for root, edges in pieces.items():
-        vertices = sorted({v for _, u, w in edges.values() for v in (u, w)})
-        piece = LabeledGraph(gH.rank, vertices, edges)
+        codes = sorted({c for _, u, w in edges for c in (u, w)})
+        number = {c: i for i, c in enumerate(codes)}
+        piece = graph_of(
+            gH.rank,
+            len(codes),
+            [(label, number[u], number[w]) for label, u, w in edges],
+            projections=([c // n_K for c in codes], [c % n_K for c in codes]),
+        )
         rank = piece.edge_count - piece.vertex_count + 1
-        based = base in parts.parent and parts.find(base) == root
+        based = parts.find(base) == root
         entries.append(DoubleCosetEntry(trim_to_core(piece, keep_basepoint=False), rank, based))
     entries.sort(key=lambda entry: (not entry.based, -entry.rank))
     return DoubleCosetDecomposition(tuple(entries))
@@ -180,7 +190,7 @@ def stepwise_nonextremal(H, K):
     for side in (0, 1):
         graph = (H, K)[side].graph
         if _has_extremal_vertex(graph):
-            step = ~_stem_word(graph)
+            step = ~_stem(graph)[1]
             H, K = H.conj(step), K.conj(step)
             total = step * total
     if _has_extremal_vertex(H.graph) or _has_extremal_vertex(K.graph):
@@ -196,7 +206,7 @@ def stepwise_normalize(H, K):
     H, K, total = stepwise_nonextremal(three_regularize(H), three_regularize(K))
     meet_core = based_meet_core(H, K)
     if meet_core.valence(meet_core.basepoint) <= 1:
-        step = ~_stem_word(meet_core)
+        step = ~_stem(meet_core)[1]
         H, K = H.conj(step), K.conj(step)
         total = step * total
         meet_core = based_meet_core(H, K)

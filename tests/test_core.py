@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from stallings import (
     Alphabet,
-    LabeledGraph,
     RANK2,
     Subgroup,
     Word,
@@ -19,9 +18,17 @@ from stallings import (
     subgroup_graph,
     three_regularize,
 )
-from stallings.verify import _normalize_with_meet, random_subgroup
+from stallings.core import _spanning_tree
+from stallings.verify import (
+    _normalize_with_meet,
+    _path_word,
+    _random_reduced_word,
+    _rebased,
+    _stem,
+    random_subgroup,
+)
 
-from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, make, stepwise_normalize
+from conftest import FIGURE_LEFT, FIGURE_MEET_WORD, FIGURE_RIGHT, graph_of, make, stepwise_normalize
 
 
 # -- core construction --------------------------------------------------------------
@@ -96,27 +103,27 @@ def test_subgroup_from_spec_validates():
 
 
 def test_from_core_needs_a_basepoint():
-    g = LabeledGraph(2, [0], {0: (0, 0, 0)})
+    g = graph_of(2, 1, [(0, 0, 0)])
     with pytest.raises(ValueError, match="needs a basepoint"):
         Subgroup.from_core(g, RANK2)
 
 
 def test_from_core_needs_a_proper_labeling():
-    g = LabeledGraph(2, [0], {0: (0, 0, 0), 1: (0, 0, 0)}, basepoint=0)
+    g = graph_of(2, 1, [(0, 0, 0), (0, 0, 0)], basepoint=0)
     with pytest.raises(ValueError, match="must be properly labeled"):
         Subgroup.from_core(g, RANK2)
 
 
 def test_from_core_needs_a_connected_core():
     # an a-loop at the basepoint and a b-loop at a vertex it cannot reach
-    g = LabeledGraph(2, [0, 1], {0: (0, 0, 0), 1: (1, 1, 1)}, basepoint=0)
+    g = graph_of(2, 2, [(0, 0, 0), (1, 1, 1)], basepoint=0)
     with pytest.raises(ValueError, match="must be connected"):
         Subgroup.from_core(g, RANK2)
 
 
 def test_from_core_rejects_a_hanging_vertex():
     # an a-loop at the basepoint with a b-edge hanging off it
-    g = LabeledGraph(2, [0, 1], {0: (0, 0, 0), 1: (1, 0, 1)}, basepoint=0)
+    g = graph_of(2, 2, [(0, 0, 0), (1, 0, 1)], basepoint=0)
     with pytest.raises(ValueError, match="non-basepoint valence <= 1"):
         Subgroup.from_core(g, RANK2)
 
@@ -195,6 +202,36 @@ def test_basis_regenerates_random_subgroups(seed):
     assert subgroup_graph(H.basis(), RANK2) == H
 
 
+def test_spanning_tree_and_basis_of_a_long_stem_take_linear_memory():
+    """The spanning tree keeps a parent per vertex, and a path is rebuilt
+    only where it is read: on a core hung from a 4,000-letter stem the tree
+    holds tens of bytes a vertex (a letter path per vertex held 64 MB), and
+    the basis little more than its own words."""
+    import tracemalloc
+
+    stem = _random_reduced_word(random.Random(4000), 4000, RANK2)
+    H = subgroup_graph([RANK2.word("aa").conj(stem), RANK2.word("bab").conj(stem)], RANK2)
+    graph = H.graph
+    tracemalloc.start()
+    try:
+        _spanning_tree(graph, graph.basepoint)
+        tree_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        words = basis(H)
+        basis_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        end, word = _stem(graph)
+        stem_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    letters = sum(len(w) for w in words)
+    assert graph.vertex_count > 4000 and letters > 16000
+    assert tree_peak < 100 * graph.vertex_count
+    assert basis_peak < 100 * graph.vertex_count + 50 * letters
+    assert stem_peak < 100 * graph.vertex_count + 50 * len(word)
+    assert graph.valence(end) == 3 and len(word) >= 3990
+
+
 # -- conjugation --------------------------------------------------------------------
 
 
@@ -209,6 +246,23 @@ def test_conjugate_subgroup_membership():
 def test_conjugate_by_identity_is_equal():
     H = make("a", "bab")
     assert H.conj(RANK2.identity()) == H
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_rebasing_a_core_is_conjugating_its_subgroup(seed, hung):
+    """Rebasing H's core at a vertex x and trimming it gives the subgroup
+    that conjugating by the inverse of a path word to x gives: the same
+    graph and the same generators."""
+    rng = random.Random(seed)
+    H = random_subgroup(rng, rng.randint(1, 3), 6)
+    if hung:  # hang the core on a stem, as the normalization meets it
+        H = H.conj(_random_reduced_word(rng, rng.randint(1, 5), RANK2))
+    x = rng.choice(H.graph.vertices)
+    shift = ~_path_word(H.graph, H.graph.basepoint, x)
+    rebased, conjugated = _rebased(H, x, shift), H.conj(shift)
+    assert rebased.graph == conjugated.graph
+    assert rebased.generators == conjugated.generators
 
 
 # -- three-regularization -----------------------------------------------------------

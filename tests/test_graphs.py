@@ -20,7 +20,7 @@ from stallings import (
 )
 from stallings.graphs import ImproperLabelingError
 
-from conftest import FIGURE_MEET_WORD, components, make, sorted_canonical, sorted_stars, wedge
+from conftest import FIGURE_MEET_WORD, components, graph_of, make, sorted_canonical, sorted_stars, wedge
 
 # direction tags of the edge-record oracles below
 OUT, IN = "out", "in"
@@ -36,7 +36,7 @@ def _plain_bouquet(gens, alphabet=None):
     wedged at the basepoint 0, with no reading along darts already laid."""
     gens = list(gens)
     alphabet = alphabet or gens[0].alphabet
-    edges: dict = {}
+    edges = []
     next_vertex = 1
     for w in gens:
         prev = 0
@@ -45,29 +45,38 @@ def _plain_bouquet(gens, alphabet=None):
             if here != 0:
                 next_vertex += 1
             label = abs(letter) - 1
-            edges[len(edges)] = (label, prev, here) if letter > 0 else (label, here, prev)
+            edges.append((label, prev, here) if letter > 0 else (label, here, prev))
             prev = here
-    return LabeledGraph(alphabet.rank, range(next_vertex), edges, basepoint=0)
+    return graph_of(alphabet.rank, next_vertex, edges, basepoint=0)
 
 
 # -- construction -------------------------------------------------------------------
 
 
 def test_graph_rejects_missing_endpoints():
-    with pytest.raises(ValueError):
-        LabeledGraph(2, ["v"], {0: (0, "v", "w")})
+    for edge in ((0, 0, 1), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="endpoint missing"):
+            graph_of(2, 1, [edge])
 
 
 def test_graph_rejects_bad_labels():
     with pytest.raises(ValueError):
-        LabeledGraph(2, ["v"], {0: (2, "v", "v")})
+        graph_of(2, 1, [(2, 0, 0)])
     with pytest.raises(ValueError):
-        LabeledGraph(2, ["v"], {0: (-1, "v", "v")})
+        graph_of(2, 1, [(-1, 0, 0)])
 
 
 def test_graph_rejects_unknown_basepoint():
-    with pytest.raises(ValueError):
-        LabeledGraph(2, ["v"], {}, basepoint="w")
+    for basepoint in (1, -1):
+        with pytest.raises(ValueError):
+            graph_of(2, 1, basepoint=basepoint)
+
+
+def test_graph_rejects_ragged_edge_lists_and_projections():
+    with pytest.raises(ValueError, match="differ in length"):
+        LabeledGraph(2, 2, [0, 1], [0], [1, 0])
+    with pytest.raises(ValueError, match="projection lists"):
+        graph_of(2, 2, [(0, 0, 1)], projections=([0, 1], [0]))
 
 
 # -- bouquets -----------------------------------------------------------------------
@@ -178,10 +187,10 @@ def test_fold_overlapping_prefix():
 def test_fold_result_maps_cover_the_input():
     bouquet = bouquet_of([RANK2.word("a"), RANK2.word("ab")])
     result = fold_to_immersion(bouquet)
-    assert set(result.vertex_map) == set(bouquet.vertices)
-    assert set(result.edge_map) == {e for e, _, _, _ in bouquet.edges()}
-    for v, image in result.vertex_map.items():
-        assert result.graph.has_vertex(image)
+    assert len(result.vertex_map) == bouquet.vertex_count
+    assert len(result.edge_map) == bouquet.edge_count
+    assert sorted(set(result.vertex_map)) == list(result.graph.vertices)
+    assert sorted(set(result.edge_map)) == list(range(result.graph.edge_count))
 
 
 def test_fold_preserves_basepoint_image():
@@ -204,7 +213,7 @@ def _naive_fold(g):
     """The textbook fold: merge one clash at a time until none is left.
 
     Returns the folded graph and the original -> surviving vertex and edge
-    maps.
+    maps, the survivors keeping their original numbers there.
     """
     vmap = {v: v for v in g.vertices}
     emap = {e: e for e, *_ in g.edges()}
@@ -228,13 +237,16 @@ def _naive_fold(g):
                 e: (label, far_keep if src == far_drop else src, far_keep if dst == far_drop else dst)
                 for e, (label, src, dst) in edges.items()
             }
-    bp = None if g.basepoint is None else vmap[g.basepoint]
-    return LabeledGraph(g.rank, dict.fromkeys(vmap.values()), edges, basepoint=bp), vmap, emap
+    survivors = sorted(set(vmap.values()))
+    new = {v: i for i, v in enumerate(survivors)}
+    records = [(label, new[src], new[dst]) for label, src, dst in edges.values()]
+    bp = None if g.basepoint is None else new[vmap[g.basepoint]]
+    return graph_of(g.rank, len(survivors), records, basepoint=bp), vmap, emap
 
 
 def _partition(mapping):
     classes: dict = {}
-    for x, image in mapping.items():
+    for x, image in (mapping.items() if isinstance(mapping, dict) else enumerate(mapping)):
         classes.setdefault(image, set()).add(x)
     return sorted(sorted(members, key=repr) for members in classes.values())
 
@@ -262,9 +274,10 @@ def _fold_input(kind, seed, rank):
         g = _plain_bouquet(words, Alphabet(rank))
         if kind == "bouquet":
             return g
-        edges = {e: (label, src, dst) for e, label, src, dst in g.edges()}
-        edges[-1] = (rng.randrange(rank), -1, g.basepoint)
-        return LabeledGraph(rank, [-1, *g.vertices], edges, basepoint=-1)
+        # the stem's far end is a new vertex, numbered last
+        edges = [(label, src, dst) for _, label, src, dst in g.edges()]
+        edges.append((rng.randrange(rank), g.vertex_count, g.basepoint))
+        return graph_of(rank, g.vertex_count + 1, edges, basepoint=g.vertex_count)
     H, K = _random_core(rng, rank), _random_core(rng, rank)
     if kind == "wedge":
         return wedge(H.graph, K.graph)[0]
@@ -293,7 +306,7 @@ def test_fold_matches_the_naive_fold(case):
     assert _partition(result.vertex_map) == _partition(vmap)
     assert _partition(result.edge_map) == _partition(emap)
     for e, label, src, dst in g.edges():
-        image = result.graph.edge(result.edge_map[e])
+        image = list(result.graph.edges())[result.edge_map[e]][1:]
         assert image == (label, result.vertex_map[src], result.vertex_map[dst])
 
 
@@ -312,9 +325,9 @@ def test_clash_set_matches_a_dart_count(case):
 @settings(max_examples=100, deadline=None)
 @given(FOLD_INPUTS)
 def test_rows_and_clashes_match_the_edge_records(case):
-    """Each slot holds the first edge of its kind in edge order, the clash
-    list every later one, and valence counts both, a loop twice; checked on
-    a graph with clashes and on its fold."""
+    """Each slot holds the first edge of its kind in edge order (-1 where
+    none), the clash list every later one, and valence counts both, a loop
+    twice; checked on a graph with clashes and on its fold."""
     g = _fold_input(*case)
     for graph in (g, fold_to_immersion(g).graph):
         first, later = {}, {}
@@ -327,8 +340,11 @@ def test_rows_and_clashes_match_the_edge_records(case):
                 else:
                     first[v, slot] = e
         assert graph._clashes == later
+        width = 2 * graph.rank
+        assert len(graph._slots) == width * graph.vertex_count
         for v in graph.vertices:
-            assert graph._rows[v] == [first.get((v, slot)) for slot in range(2 * graph.rank)]
+            row = graph._slots[v * width : (v + 1) * width]
+            assert row == [first.get((v, slot), -1) for slot in range(width)]
             assert graph.valence(v) == ends[v]
         if graph.is_properly_labeled():
             assert {v: graph.darts(v) for v in graph.vertices} == sorted_stars(graph)
@@ -338,7 +354,8 @@ def test_fold_of_a_proper_graph_returns_it():
     g = folded_core_of("ab", "ba")
     result = fold_to_immersion(g)
     assert result.graph is g
-    assert result.vertex_map == {v: v for v in g.vertices}
+    assert list(result.vertex_map) == list(g.vertices)
+    assert list(result.edge_map) == list(range(g.edge_count))
 
 
 # -- trimming -----------------------------------------------------------------------
@@ -346,14 +363,14 @@ def test_fold_of_a_proper_graph_returns_it():
 
 def test_trim_removes_dangling_tree():
     # A loop at u plus a dangling edge u -> w; the hair goes, the loop stays.
-    g = LabeledGraph(2, ["u", "w"], {0: (0, "u", "u"), 1: (1, "u", "w")}, basepoint="u")
+    g = graph_of(2, 2, [(0, 0, 0), (1, 0, 1)], basepoint=0)
     t = trim_to_core(g)
     assert (t.vertex_count, t.edge_count) == (1, 1)
-    assert t.basepoint == "u"
+    assert t.basepoint == 0
 
 
 def test_trim_single_vertex():
-    g = LabeledGraph(2, ["u"], {}, basepoint="u")
+    g = graph_of(2, 1, basepoint=0)
     t = trim_to_core(g)
     assert (t.vertex_count, t.edge_count) == (1, 0)
 
@@ -387,9 +404,18 @@ def test_trim_returns_a_core_itself(seed, rank):
 
 
 def test_trim_that_cuts_builds_a_new_graph():
-    g = LabeledGraph(2, ["u", "w"], {0: (0, "u", "u"), 1: (1, "u", "w")}, basepoint="u")
+    g = graph_of(2, 2, [(0, 0, 0), (1, 0, 1)], basepoint=0)
     t = trim_to_core(g)
     assert t is not g and trim_to_core(t) is t
+
+
+def test_trim_renumbers_the_survivors_and_carries_projections():
+    # hair 0 -> 1 -> 2 (a loop at 2) with the basepoint at 2: vertices 0 and
+    # 1 go, and the loop's vertex becomes 0 with its coordinates
+    g = graph_of(2, 3, [(0, 0, 1), (1, 1, 2), (0, 2, 2)], basepoint=2, projections=([5, 6, 7], [8, 9, 4]))
+    t = trim_to_core(g)
+    assert (t.vertex_count, list(t.edges()), t.basepoint) == (1, [(0, 0, 0, 0)], 0)
+    assert t.projections == ([7], [4])
 
 
 # -- stats and types ----------------------------------------------------------------
@@ -526,7 +552,7 @@ def test_one_letter_traces_agree_with_a_linear_scan(seed, count, rank):
 
 def test_one_letter_traces_read_loops_both_ways():
     # a loop fills both slots of its label, and edges come out of label order
-    g = LabeledGraph(3, [0, 1], {"s": (2, 1, 1), "p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 1)})
+    g = graph_of(3, 2, [(2, 1, 1), (1, 0, 1), (0, 1, 0), (0, 0, 1)])
     _one_letter_traces_match_a_scan(g)
     loop = Alphabet(3).word("c")
     assert g.trace(1, loop) == g.trace(1, ~loop) == (1, None)
@@ -534,15 +560,16 @@ def test_one_letter_traces_read_loops_both_ways():
 
 def test_darts_come_by_label_outgoing_first():
     # edges given out of label order; a loop gives both of its darts
-    g = LabeledGraph(3, [0, 1], {"s": (2, 1, 1), "p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 1)})
-    assert g.darts(0) == ((1, "r", 1), (-1, "q", 1), (2, "p", 1))
-    assert g.darts(1) == ((1, "q", 0), (-1, "r", 0), (-2, "p", 0), (3, "s", 1), (-3, "s", 1))
+    s, p, q, r = range(4)
+    g = graph_of(3, 2, [(2, 1, 1), (1, 0, 1), (0, 1, 0), (0, 0, 1)])
+    assert g.darts(0) == ((1, r, 1), (-1, q, 1), (2, p, 1))
+    assert g.darts(1) == ((1, q, 0), (-1, r, 0), (-2, p, 0), (3, s, 1), (-3, s, 1))
     assert components(g) == [[0, 1]]
 
 
 def test_improper_graph_refuses_star_walks():
     # two incoming a-darts at vertex 0
-    g = LabeledGraph(2, [0, 1], {"p": (1, 0, 1), "q": (0, 1, 0), "r": (0, 0, 0)})
+    g = graph_of(2, 2, [(1, 0, 1), (0, 1, 0), (0, 0, 0)])
     with pytest.raises(ImproperLabelingError):
         g.darts(1)
 
@@ -551,6 +578,12 @@ def test_trace_from_a_missing_vertex_is_a_value_error():
     g = folded_core_of("ab")
     with pytest.raises(ValueError, match="not in graph"):
         g.trace("nowhere", RANK2.word("a"))
+    # a negative number is no vertex either, though it would index a list
+    for v in (-1, g.vertex_count):
+        with pytest.raises(ValueError, match="not in graph"):
+            g.trace(v, RANK2.word("a"))
+        with pytest.raises(ValueError, match="not in graph"):
+            g.darts(v)
 
 
 # -- combination and canonical forms ------------------------------------------------
@@ -565,20 +598,9 @@ def test_wedge_glues_basepoints():
 
 def test_canonical_is_stable_under_relabeling():
     g = make("a", "bab").graph
-    renamed = g.relabeled({v: ("wrapped", v) for v in g.vertices})
+    renamed = _scrambled(g, random.Random(3), g.basepoint)
+    assert renamed != g
     assert renamed.canonical().graph == g.canonical().graph
-
-
-def test_relabeled_refuses_edge_maps_that_drop_edges():
-    g = LabeledGraph(2, [0, 1], {"p": (0, 0, 1), "q": (1, 0, 1)})
-    with pytest.raises(ValueError, match="edge relabeling is not injective"):
-        g.relabeled({0: 0, 1: 1}, {"p": "x", "q": "x"})
-    # an empty edge map names no edge: it does not mean "keep the ids"
-    with pytest.raises(KeyError):
-        g.relabeled({0: 0, 1: 1}, {})
-    renamed = g.relabeled({0: 1, 1: 0}, {"p": "x", "q": "y"})
-    assert renamed.edge_count == 2 and renamed.edge("y") == (1, 1, 0)
-    assert g.relabeled({0: 1, 1: 0}).edge("q") == (1, 1, 0)
 
 
 def test_canonical_distinguishes_basepoints():
@@ -597,22 +619,21 @@ def test_subgroup_cores_are_already_canonical():
 
 
 def _scrambled(g, rng, basepoint):
-    """``g`` with fresh vertex and edge ids, listed in a shuffled order."""
-    vertices = list(g.vertices)
-    rng.shuffle(vertices)
-    rename = {v: ("v", i) for i, v in enumerate(vertices)}
+    """``g`` with its vertices and edges renumbered by random permutations."""
+    rename = list(g.vertices)
+    rng.shuffle(rename)
     records = list(g.edges())
     rng.shuffle(records)
-    edges = {("e", i): (label, rename[s], rename[d]) for i, (_, label, s, d) in enumerate(records)}
+    edges = [(label, rename[s], rename[d]) for _, label, s, d in records]
     bp = None if basepoint is None else rename[basepoint]
-    return LabeledGraph(g.rank, list(rename.values()), edges, basepoint=bp)
+    return graph_of(g.rank, g.vertex_count, edges, basepoint=bp)
 
 
 @st.composite
 def canonical_cases(draw):
     """A properly labeled graph: a random core, a core hung on a stem, a
     double-coset core, or a disjoint union of two cores (so a basepoint
-    walk need not cover it), with ids scrambled and a drawn basepoint."""
+    walk need not cover it), renumbered at random, with a drawn basepoint."""
     from stallings import double_cosets
     from stallings.verify import _random_reduced_word, random_subgroup
 
@@ -629,13 +650,13 @@ def canonical_cases(draw):
         g = rng.choice(entries).core if entries else H.graph
     else:
         other = H if rng.random() < 0.3 else random_subgroup(rng, rng.randint(1, 2), 4)
-        g = LabeledGraph(
+        n = H.graph.vertex_count  # the other core's vertices are numbered after H's
+        g = graph_of(
             H.graph.rank,
-            [(0, v) for v in H.graph.vertices] + [(1, v) for v in other.graph.vertices],
-            {(side, e): (label, (side, s), (side, d))
-             for side, part in ((0, H.graph), (1, other.graph))
-             for e, label, s, d in part.edges()},
-            basepoint=(0, H.graph.basepoint),
+            n + other.graph.vertex_count,
+            [(label, s, d) for _, label, s, d in H.graph.edges()]
+            + [(label, n + s, n + d) for _, label, s, d in other.graph.edges()],
+            basepoint=H.graph.basepoint,
         )
     where = draw(st.sampled_from(["own", "any", "none"]))
     if where == "any":
@@ -654,7 +675,6 @@ def test_canonical_matches_the_sorted_renumbering(g):
         got, want = g.canonical(), sorted_canonical(g)
         assert got.graph == want.graph
         assert got.vertex_map == want.vertex_map
-        assert got.edge_map == want.edge_map
     else:
         with pytest.raises(ValueError):
             g.canonical()
@@ -669,16 +689,16 @@ def test_darts_match_the_sorted_edge_records(g):
 
 def test_canonical_refuses_an_uncovered_basepoint_component():
     # two components, the basepoint in the larger one
-    g = LabeledGraph(2, "xyz", {"p": (0, "z", "z"), "q": (0, "x", "y"), "r": (1, "y", "x")}, basepoint="x")
+    g = graph_of(2, 3, [(0, 2, 2), (0, 0, 1), (1, 1, 0)], basepoint=0)
     with pytest.raises(ValueError, match="does not reach every vertex"):
         g.canonical()
     with pytest.raises(ValueError, match="needs a basepoint"):
         g.with_basepoint(None).canonical()
     # the larger component alone is covered, and numbered as before
-    covered = g.subgraph({"x", "y"}, basepoint="x")
+    covered = g.subgraph({0, 1}, basepoint=0)
+    assert list(covered.edges()) == [(0, 0, 0, 1), (1, 1, 1, 0)]
     form = covered.canonical()
-    assert form.vertex_map == {"x": 0, "y": 1}
-    assert form.edge_map == {"q": 0, "r": 1}
+    assert form.vertex_map == [0, 1]
     assert form == sorted_canonical(covered)
 
 
@@ -691,7 +711,7 @@ def test_to_dot_output_mentions_basepoint():
 
 def test_to_dot_numbers_uncovered_graphs_by_sorted_ids():
     # a properly labeled two-component graph, based and unbased
-    g = LabeledGraph(2, "xyz", {"p": (0, "z", "z"), "q": (0, "x", "y"), "r": (1, "y", "x")}, basepoint="z")
+    g = graph_of(2, 3, [(0, 2, 2), (0, 0, 1), (1, 1, 0)], basepoint=2)
     for graph in (g, g.with_basepoint(None)):
         dot = graph.to_dot()
         assert '  0 -> 1 [label="a", color=black];' in dot
@@ -720,7 +740,7 @@ def test_branch_excess_accounts_for_chi(seed, count):
 
 def test_components_cover_vertices():
     # a loop labeled a at "x" and a loop labeled b at "y"
-    g = LabeledGraph(2, ["x", "y"], {0: (0, "x", "x"), 1: (1, "y", "y")})
+    g = graph_of(2, 2, [(0, 0, 0), (1, 1, 1)])
     comps = components(g)
     assert len(comps) == 2
     assert sorted(v for comp in comps for v in comp) == sorted(g.vertices)

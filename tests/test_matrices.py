@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stallings import (
+    LabeledGraph,
     IncidenceMatrix,
     LEFT,
     NotNormalizedError,
@@ -99,9 +100,16 @@ def test_incidence_matrix_rejects_junk_third_argument():
     # a meet core whose branch vertices do not project into the pair
     Hn, Kn = normalize_pair(make("a", "bab"), make("a", "bab"))
     meet = based_meet_core(Hn, Kn)
-    foreign = meet.relabeled({(x, y): (x + 100, y) for x, y in meet.vertices})
-    with pytest.raises(ValueError, match="does not project"):
-        incidence_matrix(Hn, Kn, foreign)
+    left, right = meet.projections
+    for shifted in ([x + 100 for x in left], [x - 100 for x in left]):
+        foreign = LabeledGraph(
+            meet.rank, meet.vertex_count, meet._labels, meet._sources, meet._targets,
+            projections=(shifted, right),
+        )
+        with pytest.raises(ValueError, match="does not project"):
+            incidence_matrix(Hn, Kn, foreign)
+    with pytest.raises(ValueError, match="no product projections"):
+        incidence_matrix(Hn, Kn, meet.canonical().graph)
 
 
 def test_render_shows_rows():
@@ -146,9 +154,10 @@ def test_normal_form_permutations_are_permutations():
 
 def test_normal_form_rejects_unknown_branch_vertices():
     Hn, Kn, meet, po, M = normalized_setup(make("a", "bab"), make("a", "bab"))
-    bogus = IncidenceMatrix(("nonexistent",) + M.row_vertices[1:], M.col_vertices, M.entries)
-    with pytest.raises(ValueError):
-        normal_form(bogus, po)
+    for missing in (-1, Hn.graph.vertex_count):
+        bogus = IncidenceMatrix((missing,) + M.row_vertices[1:], M.col_vertices, M.entries)
+        with pytest.raises(ValueError, match="not a 3-valent vertex"):
+            normal_form(bogus, po)
 
 
 def test_normal_form_render_marks_blocks():
@@ -170,8 +179,8 @@ def _star_partition_oracle(Hn, Kn, meet):
         if sub.graph.valence(v) == 3
     ]
     pairs = [
-        ((LEFT, v[0]), (RIGHT, v[1]))
-        for v in meet.vertices
+        ((LEFT, x), (RIGHT, y))
+        for v, (x, y) in enumerate(zip(*meet.projections))
         if meet.valence(v) == 3
     ]
     changed = True
@@ -204,7 +213,7 @@ def test_normal_form_matches_star_partition_oracle(seed):
     assert nf.lemma_violations == ()
     stars = po.star_classes()
     got = sorted(
-        tuple(sorted(t for t, index in stars.assignment.items() if index == c))
+        tuple((side, v) for side in (LEFT, RIGHT) for v, index in enumerate(stars.assignment[side]) if index == c)
         for c in range(stars.count)
     )
     assert got == oracle

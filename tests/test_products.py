@@ -34,12 +34,14 @@ from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, _random_reduced_word, 
 from stallings.words import generator_squares
 
 import stallings.products
+from stallings.graphs import DisjointSet, _trimmed
 from stallings.products import _segments
 from conftest import (
     FIGURE_LEFT,
     FIGURE_MEET_WORD,
     FIGURE_RIGHT,
     components,
+    graph_of,
     make,
     matched_pair_double_cosets,
     sorted_canonical,
@@ -53,6 +55,26 @@ def embedded(*texts, rank=3):
     return subgroup_graph([embed_into_rank2(A.word(t)) for t in texts], RANK2)
 
 
+def vertex_pairs(core):
+    """Each vertex of a product graph as its (left, right) coordinates."""
+    return list(zip(*core.projections))
+
+
+def edge_pairs(core, gH, gK):
+    """Each edge of a product graph as its (left edge, right edge), found by
+    a scan of the factors' edge records."""
+
+    def find(g, record):
+        (e,) = [e for e, *rest in g.edges() if tuple(rest) == record]
+        return e
+
+    left, right = core.projections
+    return [
+        (find(gH, (label, left[s], left[d])), find(gK, (label, right[s], right[d])))
+        for _, label, s, d in core.edges()
+    ]
+
+
 # -- fiber product: its based component ---------------------------------------------
 
 
@@ -60,7 +82,7 @@ def test_fiber_product_of_disjoint_loops():
     H, K = make("a"), make("b")
     core = based_meet_core(H, K)
     assert (core.vertex_count, core.edge_count) == (1, 0)
-    assert core.basepoint == (H.graph.basepoint, K.graph.basepoint)
+    assert vertex_pairs(core)[core.basepoint] == (H.graph.basepoint, K.graph.basepoint)
 
 
 def test_fiber_product_of_roses():
@@ -78,11 +100,13 @@ def test_fiber_product_projections_preserve_labels():
     H, K = make("a", "bab"), make("b", "aa")
     cores = [based_meet_core(H, K)] + [e.core for e in double_cosets(H, K).entries]
     for core in cores:
-        for eid, label, src, dst in core.edges():
-            lh = H.graph.edge(eid[0])
-            lk = K.graph.edge(eid[1])
+        left, right = core.projections
+        for (eH, eK), (_, label, src, dst) in zip(edge_pairs(core, H.graph, K.graph), core.edges()):
+            lh = list(H.graph.edges())[eH][1:]
+            lk = list(K.graph.edges())[eK][1:]
             assert lh[0] == lk[0] == label
-            assert (lh[1], lk[1]) == src and (lh[2], lk[2]) == dst
+            assert (lh[1], lk[1]) == (left[src], right[src])
+            assert (lh[2], lk[2]) == (left[dst], right[dst])
 
 
 @settings(max_examples=30, deadline=None)
@@ -244,9 +268,9 @@ def test_join_canonicalizes_its_core_once(monkeypatch):
     calls = []
     real = LabeledGraph._canonical_form  # every canonical form is built here
 
-    def counting(self, number, edges, edge_map):
+    def counting(self, *walk):
         calls.append(self)
-        return real(self, number, edges, edge_map)
+        return real(self, *walk)
 
     monkeypatch.setattr(LabeledGraph, "_canonical_form", counting)
     J = join(H, K)
@@ -260,8 +284,10 @@ def test_join_with_maps_sends_basepoints_together():
     bp = res.subgroup.graph.basepoint
     assert res.left_vertex_map[H.graph.basepoint] == bp
     assert res.right_vertex_map[K.graph.basepoint] == bp
-    for v, img in res.left_vertex_map.items():
-        assert img is None or res.subgroup.graph.has_vertex(img)
+    assert len(res.left_vertex_map) == H.graph.vertex_count
+    assert len(res.right_vertex_map) == K.graph.vertex_count
+    for img in res.left_vertex_map + res.right_vertex_map:
+        assert img is None or 0 <= img < res.subgroup.graph.vertex_count
 
 
 def test_join_rank_can_exceed_ambient_when_factors_are_small():
@@ -275,10 +301,12 @@ def _wedge_join(H, K):
     canonicalized, with each factor's vertex map into it."""
     wedged, mapH, mapK = wedge(H.graph, K.graph)
     folded = fold_to_immersion(wedged)
-    canon = trim_to_core(folded.graph).canonical()
+    core, kept = _trimmed(folded.graph, folded.graph.basepoint)
+    canon = core.canonical()
+    image = {x: canon.vertex_map[i] for i, x in enumerate(kept)}
 
     def compose(pre):
-        return {v: canon.vertex_map.get(folded.vertex_map[tagged]) for v, tagged in pre.items()}
+        return [image.get(folded.vertex_map[x]) for x in pre]
 
     return canon.graph, compose(mapH), compose(mapK)
 
@@ -376,12 +404,7 @@ def test_pushout_with_no_cores_is_the_disjoint_union():
 
 def test_pushout_along_a_single_point_is_the_wedge():
     H, K = make("a", "bab"), make("b", "aBabA")
-    point = LabeledGraph(
-        2,
-        [(H.graph.basepoint, K.graph.basepoint)],
-        {},
-        basepoint=(H.graph.basepoint, K.graph.basepoint),
-    )
+    point = graph_of(2, 1, basepoint=0, projections=([H.graph.basepoint], [K.graph.basepoint]))
     po = topological_pushout(H, K, [point])
     assert po.chi == H.graph.chi + K.graph.chi - 1
     assert po.graph.vertex_count == (
@@ -415,8 +438,8 @@ def test_refolds_to_agrees_with_the_folded_core(seed):
         H.graph,
         rebased,
         rebased.canonical().graph,
-        LabeledGraph(J.rank, J.vertices, {**J._edge, J.edge_count: extra_edge}, basepoint=0),
-        LabeledGraph(J.rank, range(J.vertex_count + 1), J._edge, basepoint=0),
+        graph_of(J.rank, J.vertex_count, [(l, s, d) for _, l, s, d in J.edges()] + [extra_edge], basepoint=0),
+        LabeledGraph(J.rank, J.vertex_count + 1, J._labels, J._sources, J._targets, basepoint=0),
     )
     meet = [based_meet_core(H, K)]
     cosets = [entry.core for entry in double_cosets(H, K).entries]
@@ -439,10 +462,9 @@ def test_figure_pushout_chi_gap():
 def test_pushout_vertex_classes_partition_the_factors():
     H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
     po = topological_pushout(H, K, [based_meet_core(H, K)])
-    tagged = {(LEFT, v) for v in H.graph.vertices}
-    tagged |= {(RIGHT, v) for v in K.graph.vertices}
-    assert set(po.vertex_class) == tagged
-    assert set(po.vertex_class.values()) == set(po.graph.vertices)
+    assert len(po.vertex_class[LEFT]) == H.graph.vertex_count
+    assert len(po.vertex_class[RIGHT]) == K.graph.vertex_count
+    assert set(po.vertex_class[LEFT] + po.vertex_class[RIGHT]) == set(po.graph.vertices)
 
 
 def test_pushout_edge_classes_preserve_labels_and_ends():
@@ -450,11 +472,11 @@ def test_pushout_edge_classes_preserve_labels_and_ends():
     po = topological_pushout(H, K, [based_meet_core(H, K)])
     for side, graph in ((LEFT, H.graph), (RIGHT, K.graph)):
         for eid, label, src, dst in graph.edges():
-            image = po.edge_class[(side, eid)]
-            ilabel, isrc, idst = po.graph.edge(image)
+            image = po.edge_class[side][eid]
+            ilabel, isrc, idst = list(po.graph.edges())[image][1:]
             assert ilabel == label
-            assert isrc == po.vertex_class[(side, src)]
-            assert idst == po.vertex_class[(side, dst)]
+            assert isrc == po.vertex_class[side][src]
+            assert idst == po.vertex_class[side][dst]
 
 
 @settings(max_examples=25, deadline=None)
@@ -468,34 +490,40 @@ def test_pushout_chi_never_exceeds_join_chi(seed):
 
 
 def _sorted_class_numbering(H, K, cores):
-    """Pushout numbering by rank in the sorted list of sorted classes:
-    (vertex_class, edge_class, quotient edges)."""
-    from stallings.graphs import DisjointSet
-
-    vparts, eparts = DisjointSet(), DisjointSet()
-    graphs = {LEFT: H.graph, RIGHT: K.graph}
-    for side, graph in graphs.items():
-        for v in graph.vertices:
-            vparts.add((side, v))
-        for e, *_ in graph.edges():
-            eparts.add((side, e))
+    """Pushout numbering by rank in the sorted list of sorted classes of
+    tagged (side, vertex) and (side, edge) pairs: (vertex_class,
+    edge_class, quotient edges), the classes as one list per side."""
+    gH, gK = H.graph, K.graph
+    nH, mH = gH.vertex_count, gH.edge_count
+    vparts = DisjointSet(nH + gK.vertex_count)
+    eparts = DisjointSet(mH + gK.edge_count)
     for core in cores:
-        for vH, vK in core.vertices:
-            vparts.union((LEFT, vH), (RIGHT, vK))
-        for (eH, eK), *_ in core.edges():
-            eparts.union((LEFT, eH), (RIGHT, eK))
-    vertex_class = {
-        tagged: index
-        for index, members in enumerate(sorted(vparts.classes()))
-        for tagged in members
-    }
-    edge_class, quotient_edges = {}, {}
-    for index, members in enumerate(sorted(eparts.classes())):
+        for vH, vK in vertex_pairs(core):
+            vparts.union(vH, nH + vK)
+        for eH, eK in edge_pairs(core, gH, gK):
+            eparts.union(eH, mH + eK)
+
+    def tagged(code, n):
+        return (LEFT, code) if code < n else (RIGHT, code - n)
+
+    def classes(parts):
+        grouped = {}
+        for c in range(len(parts.parent)):
+            grouped.setdefault(parts.find(c), []).append(c)
+        return grouped.values()
+
+    vertex_class = ([None] * nH, [None] * gK.vertex_count)
+    for index, members in enumerate(sorted(sorted(tagged(c, nH) for c in m) for m in classes(vparts))):
+        for side, v in members:
+            vertex_class[side][v] = index
+    edge_class, quotient_edges = ([None] * mH, [None] * gK.edge_count), {}
+    records_of = {LEFT: list(gH.edges()), RIGHT: list(gK.edges())}
+    for index, members in enumerate(sorted(sorted(tagged(c, mH) for c in m) for m in classes(eparts))):
         records = set()
         for side, e in members:
-            edge_class[side, e] = index
-            label, src, dst = graphs[side].edge(e)
-            records.add((label, vertex_class[side, src], vertex_class[side, dst]))
+            edge_class[side][e] = index
+            _, label, src, dst = records_of[side][e]
+            records.add((label, vertex_class[side][src], vertex_class[side][dst]))
         (quotient_edges[index],) = records
     return vertex_class, edge_class, quotient_edges
 
@@ -512,7 +540,7 @@ def test_pushout_numbering_matches_sorted_classes(seed, rank):
         assert po.vertex_class == vertex_class
         assert po.edge_class == edge_class
         assert {e: (label, src, dst) for e, label, src, dst in po.graph.edges()} == quotient_edges
-        assert po.graph.vertices == tuple(range(len(set(vertex_class.values()))))
+        assert po.graph.vertex_count == len(set(vertex_class[LEFT] + vertex_class[RIGHT]))
 
 
 # -- double cosets ------------------------------------------------------------------
@@ -572,16 +600,21 @@ def test_double_cosets_rejects_alphabet_mismatch():
 
 
 def _dense_product(H, K):
-    """Every vertex pair and every label-matched edge pair of the two cores."""
+    """Every vertex pair and every label-matched edge pair of the two cores,
+    the pair (x, y) numbered x * |V_K| + y."""
     gH, gK = H.graph, K.graph
-    edges = {
-        (eH, eK): (label, (sH, sK), (dH, dK))
-        for eH, label, sH, dH in gH.edges()
-        for eK, label_K, sK, dK in gK.edges()
+    n = gK.vertex_count
+    edges = [
+        (label, sH * n + sK, dH * n + dK)
+        for _, label, sH, dH in gH.edges()
+        for _, label_K, sK, dK in gK.edges()
         if label == label_K
-    }
-    vertices = [(x, y) for x in gH.vertices for y in gK.vertices]
-    return LabeledGraph(gH.rank, vertices, edges, basepoint=(gH.basepoint, gK.basepoint))
+    ]
+    pairs = [(x, y) for x in gH.vertices for y in gK.vertices]
+    return graph_of(
+        gH.rank, len(pairs), edges, basepoint=gH.basepoint * n + gK.basepoint,
+        projections=([x for x, _ in pairs], [y for _, y in pairs]),
+    )
 
 
 def _dense_decomposition(H, K):
@@ -589,12 +622,12 @@ def _dense_decomposition(H, K):
     product = _dense_product(H, K)
     out = []
     for comp in components(product):
-        piece = product.subgraph(set(comp))
+        piece = product.subgraph(comp)
         rank = piece.edge_count - piece.vertex_count + 1
         if rank >= 1:
             core = trim_to_core(piece, keep_basepoint=False)
-            edges = frozenset(e for e, *_ in core.edges())
-            out.append((rank, product.basepoint in comp, frozenset(core.vertices), edges))
+            edges = frozenset(edge_pairs(core, H.graph, K.graph))
+            out.append((rank, product.basepoint in comp, frozenset(vertex_pairs(core)), edges))
     out.sort(key=lambda item: (not item[1], -item[0]))
     return out
 
@@ -625,7 +658,7 @@ def test_double_cosets_match_the_dense_product(seed, kind):
     assert d.ranks == tuple(rank for rank, *_ in dense)
     assert tuple(e.based for e in d.entries) == tuple(based for _, based, *_ in dense)
     sparse_pieces = Counter(
-        (frozenset(e.core.vertices), frozenset(eid for eid, *_ in e.core.edges()))
+        (frozenset(vertex_pairs(e.core)), frozenset(edge_pairs(e.core, H.graph, K.graph)))
         for e in d.entries
     )
     assert sparse_pieces == Counter((vs, es) for _, _, vs, es in dense)
@@ -652,10 +685,17 @@ def _coset_pair(seed, kind, rank):
     return subgroup_graph(gens, A), K
 
 
-def _coset_pieces(d):
-    """Each entry as (rank, based, sorted vertices, sorted edges, unbased)."""
+def _coset_pieces(d, H, K):
+    """Each entry as (rank, based, sorted vertex pairs, sorted edge pairs,
+    unbased)."""
     return sorted(
-        (e.rank, e.based, sorted(e.core.vertices), sorted(e.core.edges()), e.core.basepoint is None)
+        (
+            e.rank,
+            e.based,
+            sorted(vertex_pairs(e.core)),
+            sorted(edge_pairs(e.core, H.graph, K.graph)),
+            e.core.basepoint is None,
+        )
         for e in d.entries
     )
 
@@ -679,7 +719,7 @@ def test_the_pinned_draws_read_a_circle_and_an_incoming_first_dart():
     (start, end, keys), = _read_segments(*READS_A_CIRCLE)
     assert start == end and len(keys) > 1
     segments = _read_segments(*STARTS_INCOMING)
-    assert len(segments) > 1 and any(keys[0][0] & 1 for _, _, keys in segments)
+    assert len(segments) > 1 and any(keys[0] & 1 for _, _, keys in segments)
 
 
 @settings(max_examples=300, deadline=None)
@@ -702,7 +742,7 @@ def test_double_cosets_match_the_matched_pair_oracle(seed, kind, rank, swap):
     d, oracle = double_cosets(H, K), matched_pair_double_cosets(H, K)
     assert d.ranks == oracle.ranks
     assert [e.based for e in d.entries] == [e.based for e in oracle.entries]
-    assert _coset_pieces(d) == _coset_pieces(oracle)
+    assert _coset_pieces(d, H, K) == _coset_pieces(oracle, H, K)
     assert double_cosets(H, K, based_meet_core(H, K)) == d
 
 
@@ -719,11 +759,10 @@ def test_double_cosets_refuse_a_pair_past_the_read_budget(monkeypatch):
 def _kernel_onto_cyclic(n):
     """The kernel of F2 -> Z/n (a -> 1, b -> 0): a circle of n a-edges with
     a b-loop at every vertex, of rank n + 1."""
-    edges = {}
+    edges = []
     for v in range(n):
-        edges[2 * v] = (0, v, (v + 1) % n)
-        edges[2 * v + 1] = (1, v, v)
-    return Subgroup.from_core(LabeledGraph(2, range(n), edges, basepoint=0), RANK2)
+        edges += [(0, v, (v + 1) % n), (1, v, v)]
+    return Subgroup.from_core(graph_of(2, n, edges, basepoint=0), RANK2)
 
 
 def test_double_cosets_count_held_lifts_and_laid_edges(monkeypatch):
@@ -818,9 +857,49 @@ def test_squares_candidates_are_isolated_in_the_dense_product():
     a_center, b_center = {(0, "out"), (0, "in")}, {(1, "out"), (1, "in")}
     isolated = [
         (x, y)
-        for x, y in product.vertices
-        if product.valence((x, y)) == 0
+        for v, (x, y) in enumerate(vertex_pairs(product))
+        if product.valence(v) == 0
         and kinds(H.graph, x) == a_center
         and kinds(K.graph, y) == b_center
     ]
     assert len(isolated) == check_squares_construction()["isolated_candidates"] == 4
+
+
+# -- memory -----------------------------------------------------------------------
+
+
+def test_graphs_hold_at_most_160_bytes_per_vertex():
+    """On the self pair of three 3,000-letter generators that CI checks, the
+    canonical subgroup core and the meet core each hold at most 160 bytes a
+    vertex, and the pushout along the meet core at most 160 bytes an input
+    vertex (dicts of per-vertex lists held about 400)."""
+    import tracemalloc
+
+    rng = random.Random(3000)
+    inverse = {"a": "A", "A": "a", "b": "B", "B": "b"}
+    words = []
+    for _ in range(3):
+        word = [rng.choice("abAB")]
+        while len(word) < 3000:
+            word.append(rng.choice([c for c in "abAB" if c != inverse[word[-1]]]))
+        words.append("".join(word))
+    H = subgroup_graph(words, RANK2)
+
+    def held(build):
+        """What ``build()`` returns, and the bytes it holds once built."""
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        return value, tracemalloc.get_traced_memory()[0] - before
+
+    tracemalloc.start()
+    try:
+        core, core_bytes = held(lambda: subgroup_graph(words, RANK2).graph)
+        meet, meet_bytes = held(lambda: based_meet_core(H, H))
+        po, po_bytes = held(lambda: topological_pushout(H, H, [meet]))
+    finally:
+        tracemalloc.stop()
+    assert core == H.graph and meet.vertex_count == core.vertex_count > 8000
+    assert po.graph.vertex_count == core.vertex_count
+    assert core_bytes / core.vertex_count <= 160
+    assert meet_bytes / meet.vertex_count <= 160
+    assert po_bytes / (2 * core.vertex_count) <= 160

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graphs import (
-    CanonicalForm,
     LabeledGraph,
     _collector_paused,
     bouquet_of,
@@ -44,8 +43,24 @@ class Subgroup:
         alphabet: Alphabet,
         generators: Iterable[Word] | None = None,
     ) -> "Subgroup":
-        """Wrap an already folded core; the graph is canonicalized here."""
-        return _from_core_form(graph, alphabet, generators)[0]
+        """Wrap an already folded core; the graph is canonicalized here.
+
+        Raises ``ValueError`` where :meth:`LabeledGraph.canonical` does, on a
+        vertex other than the basepoint of valence <= 1, and on a generator
+        that does not trace a based loop in the core.
+        """
+        core = graph.canonical().graph
+        if not core.is_core():
+            raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
+        sub = cls(alphabet, (), core)
+        gens = tuple(generators) if generators is not None else tuple(basis(sub))
+        for w in gens:
+            if w.alphabet != alphabet:
+                raise ValueError("generator alphabet mismatch")
+            if not membership(sub, w):
+                raise ValueError(f"generator {w} does not trace a based loop in the core")
+        sub.generators = gens
+        return sub
 
     @property
     def is_trivial(self) -> bool:
@@ -77,34 +92,6 @@ class Subgroup:
     def __repr__(self) -> str:
         gens = ", ".join(str(w) for w in self.generators)
         return f"Subgroup(<{gens}>, rank={self.rank})"
-
-
-def _from_core_form(
-    graph: LabeledGraph, alphabet: Alphabet, generators: Iterable[Word] | None
-) -> tuple[Subgroup, CanonicalForm]:
-    """:meth:`Subgroup.from_core`, also returning the canonical form whose
-    vertex map numbers the wrapped core."""
-    if graph.basepoint is None:
-        raise ValueError("a subgroup core needs a basepoint")
-    if not graph.is_properly_labeled():
-        raise ValueError("a subgroup core must be properly labeled")
-    # the walk that numbers the canonical form reaches every vertex exactly
-    # when the core is connected
-    walk = graph._walk_from(graph.basepoint)
-    if len(walk[1]) != graph.vertex_count:
-        raise ValueError("a subgroup core must be connected")
-    if not graph.is_core():
-        raise ValueError("a subgroup core may not have non-basepoint valence <= 1 vertices")
-    form = graph._canonical_form(*walk)
-    sub = Subgroup(alphabet, (), form.graph)
-    gens = tuple(generators) if generators is not None else tuple(basis(sub))
-    for w in gens:
-        if w.alphabet != alphabet:
-            raise ValueError("generator alphabet mismatch")
-        if not membership(sub, w):
-            raise ValueError(f"generator {w} does not trace a based loop in the core")
-    sub.generators = gens
-    return sub, form
 
 
 @_collector_paused

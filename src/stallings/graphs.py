@@ -30,6 +30,7 @@ other thread relies on the collector meanwhile.
 
 from __future__ import annotations
 
+import copy
 import functools
 import gc
 from collections import deque
@@ -124,7 +125,7 @@ class DisjointSet:
 
         Halves every path until each element points at its root (each pass
         is one C-level map), then numbers the roots in order of first
-        appearance.
+        appearance, in one dict.
         """
         roots = self.parent
         while True:
@@ -132,8 +133,8 @@ class DisjointSet:
             if up == roots:
                 break
             roots = up
-        first = dict.fromkeys(roots)
-        number = dict(zip(first, range(len(first))))
+        number = dict.fromkeys(roots)
+        number.update(zip(number, range(len(number))))  # sets values only, so no key moves
         return list(map(number.__getitem__, roots))
 
 
@@ -320,10 +321,13 @@ class LabeledGraph:
         return LabeledGraph(self.rank, len(keep), labels, sources, targets, bp, projections)
 
     def with_basepoint(self, v: int | None) -> "LabeledGraph":
-        return LabeledGraph(
-            self.rank, self.vertex_count, self._labels, self._sources, self._targets,
-            v, self.projections,
-        )
+        """This graph based at ``v`` (or unbased), sharing every table with
+        it, since a basepoint changes no slot, clash or degree."""
+        if v is not None and not 0 <= v < self.vertex_count:
+            raise ValueError(f"basepoint {v!r} missing from vertex set")
+        rebased = copy.copy(self)
+        rebased.basepoint = v
+        return rebased
 
     # -- canonical form ------------------------------------------------------------
 
@@ -372,20 +376,16 @@ class LabeledGraph:
         the walk from it does not reach every vertex.
         """
         if self._clashes:
-            raise ImproperLabelingError("graph is not properly labeled")
+            raise ImproperLabelingError("a canonical form's graph must be properly labeled")
         if self.basepoint is None:
             raise ValueError("a canonical form needs a basepoint")
-        walk = self._walk_from(self.basepoint)
-        if len(walk[1]) != self.vertex_count:
-            raise ValueError("the walk from the basepoint does not reach every vertex")
-        return self._canonical_form(*walk)
-
-    def _canonical_form(self, number: list, order: list, edges: tuple) -> CanonicalForm:
-        """The canonical form that the walk from the basepoint gives, the
-        walk having reached every vertex of this properly labeled graph;
-        built by the validating constructor."""
-        graph = LabeledGraph(self.rank, len(order), *edges, basepoint=0)
-        return CanonicalForm(graph, number)
+        number, order, edges = self._walk_from(self.basepoint)
+        if len(order) != self.vertex_count:
+            raise ValueError(
+                "a canonical form's graph must be connected: the walk from the "
+                "basepoint does not reach every vertex"
+            )
+        return CanonicalForm(LabeledGraph(self.rank, len(order), *edges, basepoint=0), number)
 
     def __eq__(self, other: object) -> bool:
         """Structural identity: same numbering, edges, basepoint and

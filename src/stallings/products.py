@@ -7,7 +7,10 @@ conjugates, and pushing the two cores out along any family of common
 immersed subgraphs produces the quotient whose Euler characteristic
 controls the join.  No construction here builds the whole product: the
 meet grows the basepoint's component alone, and the double cosets read
-the segments of one core between its branch vertices in the other.
+the segments of one core between its branch vertices in the other.  The
+join itself is folded from the bouquet of both generator lists, like any
+subgroup, and each factor's core finds its image there as its based
+product with the join's core.
 
 Throughout, a product graph is numbered densely like any other graph and
 keeps its coordinates as two projection lists (``projections``): the left
@@ -21,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Subgroup, _from_core_form
+from .core import Subgroup, subgroup_graph
 from .graphs import (
     DisjointSet,
     LabeledGraph,
@@ -57,84 +60,41 @@ def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
 @dataclass(frozen=True, slots=True)
 class JoinResult:
     subgroup: Subgroup
-    # per factor core vertex, its canonical join core vertex (None when
-    # trimmed away)
+    # per factor core vertex, the join core vertex it maps to
     left_vertex_map: list
     right_vertex_map: list
 
 
 def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
-    """Read K's core into H's, fold, trim, canonicalize.
+    """The join, with the join core vertex that each factor core vertex
+    maps to.
 
-    K's core is walked from its basepoint, placing each of its vertices on a
-    vertex of the growing graph, which starts as H's core.
-    Each K edge is read, once, from the image of its near end: along H's
-    darts, then along the darts laid so far.  An edge is laid only where
-    that reading fails or reaches a vertex other than the far end's image,
-    and a vertex only where the far end is not placed yet.  Every reading
-    identifies two equally labeled darts at one vertex, so the graph read is
-    a fold-quotient of the two cores wedged at their basepoints and folds to
-    the same core, with only the clashes reading could not resolve.
+    Each factor's core immerses into the join's, basepoint to basepoint, so
+    the based product of the two pairs every factor vertex with its image
+    alone.
     """
-    if H.alphabet != K.alphabet:
-        raise ValueError("alphabet mismatch")
-    gH, gK = H.graph, K.graph
-    width, n_H = 2 * gH.rank, gH.vertex_count
-    slots, ends = gH._slots, (gH._targets, gH._sources)  # far ends of even / odd slots
-    slots_K, ends_K = gK._slots, (gK._targets, gK._sources)
-    labels, sources, targets = gH._labels[:], gH._sources[:], gH._targets[:]
-    next_vertex = n_H
-    laid: dict = {}  # vertex * width + slot -> far end of the first dart laid there
-    place = [-1] * gK.vertex_count  # K vertex -> vertex of the graph read
-    place[gK.basepoint] = gH.basepoint
-    order = [gK.basepoint]
-    done = [False] * gK.edge_count  # K edges read
-    for v in order:  # order grows while it is walked
-        x = place[v]
-        base_K = v * width
-        base = x * width if x < n_H else -1  # -1 at a laid vertex
-        for slot in range(width):
-            e = slots_K[base_K + slot]
-            if e < 0 or done[e]:
-                continue
-            done[e] = True
-            odd = slot & 1
-            held = slots[base + slot] if base >= 0 else -1
-            y = ends[odd][held] if held >= 0 else laid.get(x * width + slot)
-            w = ends_K[odd][e]
-            z = place[w]
-            if z < 0:
-                order.append(w)
-                if y is not None:
-                    place[w] = y
-                    continue
-                z = place[w] = next_vertex
-                next_vertex += 1
-            elif z == y:
-                continue
-            labels.append(slot >> 1)
-            sources.append(z if odd else x)
-            targets.append(x if odd else z)
-            laid.setdefault(x * width + slot, z)
-            laid.setdefault(z * width + (slot ^ 1), x)
-    read = LabeledGraph(gH.rank, next_vertex, labels, sources, targets, basepoint=gH.basepoint)
-    folded = fold_to_immersion(read)
-    core, kept = _trimmed(folded.graph, folded.graph.basepoint)
-    sub, canon = _from_core_form(core, H.alphabet, H.generators + K.generators)
-    image = [None] * folded.graph.vertex_count  # folded vertex -> canonical join vertex
-    for i, x in enumerate(kept):
-        image[x] = canon.vertex_map[i]
-    fold = folded.vertex_map
-    return JoinResult(
-        sub,
-        [image[fold[x]] for x in range(n_H)],
-        [image[fold[x]] for x in place],
-    )
+    J = join(H, K)
+    return JoinResult(J, _immersion(H.graph, J.graph), _immersion(K.graph, J.graph))
+
+
+def _immersion(factor: LabeledGraph, core: LabeledGraph) -> list:
+    """The image in ``core`` of each vertex of ``factor``, read off their
+    based product; raises unless ``factor`` immerses into ``core``."""
+    left, right = based_product(factor, core).projections
+    image = [None] * factor.vertex_count
+    for v, z in zip(left, right):
+        image[v] = z
+    if len(left) != factor.vertex_count or None in image:
+        raise ValueError("a factor core does not immerse into the join core")
+    return image
 
 
 def join(H: Subgroup, K: Subgroup) -> Subgroup:
-    """The subgroup generated by both factors together."""
-    return join_with_maps(H, K).subgroup
+    """The subgroup generated by both factors together: the fold of the
+    bouquet of both generator lists."""
+    if H.alphabet != K.alphabet:
+        raise ValueError("alphabet mismatch")
+    return subgroup_graph(H.generators + K.generators, H.alphabet)
 
 
 # -- topological pushout ----------------------------------------------------------

@@ -837,8 +837,7 @@ def imrich_muller_probe(H: Subgroup, K: Subgroup) -> dict:
     fibers: dict = {}
     for side, vertex_map in ((LEFT, joined.left_vertex_map), (RIGHT, joined.right_vertex_map)):
         for v, z in enumerate(vertex_map):
-            if z is not None:
-                fibers.setdefault(z, []).append((side, v))
+            fibers.setdefault(z, []).append((side, v))
 
     per_vertex = []
     split = 0

@@ -613,6 +613,19 @@ def test_canonical_distinguishes_basepoints():
     assert sorted_canonical(core, based=False).graph == sorted_canonical(rebased, based=False).graph
 
 
+def test_rebasing_shares_the_tables_and_refuses_a_missing_vertex():
+    core = make("a", "bab").graph
+    last = core.vertex_count - 1
+    rebased = core.with_basepoint(last)
+    assert (rebased.basepoint, core.basepoint) == (last, 0)
+    assert rebased._slots is core._slots
+    assert rebased._clashes is core._clashes and rebased._degree is core._degree
+    assert list(rebased.edges()) == list(core.edges())
+    for v in (-1, core.vertex_count):
+        with pytest.raises(ValueError, match="missing from vertex set"):
+            core.with_basepoint(v)
+
+
 def test_subgroup_cores_are_already_canonical():
     g = make("a", "bab").graph
     assert g == g.canonical().graph

@@ -6,7 +6,9 @@ cover output that holds basis words and DOT vertex numbering, which depend
 on the order graphs are walked in; they were computed before the shared
 dart walk and union-find replaced the per-module copies, and the two
 ``STEMMED`` pins before normalization's stem conjugations became one
-rebasing at the meet core.  A change that
+rebasing at the meet core.  The text forms of ``check`` and ``corpus``
+were pinned while the result records were still dataclasses, before they
+became named tuples.  A change that
 means to alter these outputs must update them and say why.
 """
 
@@ -87,6 +89,12 @@ GOLDEN = {
         "427d7f5a352d21947435eadef26b7e746ea3e08da520b9a7b7dce912b1166870",
     ("check", *STEMMED, "--json"):
         "57ad6c4031400df96288c3ee57806ca68cdb1ffdf55b23c971626e7924b2adb5",
+    ("check", *GAP):
+        "8b8d6f0524763751e9161c9c1575198e55e6922f969cd75e36a96543b1de8b7f",
+    ("check", *STEMMED):
+        "424b1a9629953b46569258fca6810dee4748a9fb916d4843eb7bd40359429bb9",
+    ("corpus",):
+        "2d48232a28052d4d49438f4e9a443f9fe9a179236a6f7b0d14a112abeaec1c0f",
 }
 
 

@@ -9,7 +9,7 @@ generating sets were written down.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .graphs import (
     LabeledGraph,

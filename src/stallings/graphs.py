@@ -33,9 +33,8 @@ from __future__ import annotations
 import copy
 import functools
 import gc
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .words import Alphabet, Word
 
@@ -70,23 +69,20 @@ class ImproperLabelingError(ValueError):
     """The operation requires a properly labeled graph."""
 
 
-class Traversal(NamedTuple):
+class Traversal(namedtuple("Traversal", "vertex failed_at")):
     """Outcome of tracing a word: the final vertex, or the failure index."""
 
-    vertex: int | None
-    failed_at: int | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.failed_at is None
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalForm:
-    """A canonical graph, with the new number of each old vertex."""
+class CanonicalForm(namedtuple("CanonicalForm", "graph vertex_map")):
+    """A canonical graph, with the new number (a list) of each old vertex."""
 
-    graph: "LabeledGraph"
-    vertex_map: list
+    __slots__ = ()
 
 
 class DisjointSet:
@@ -570,13 +566,11 @@ def based_product(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
 # -- folding -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FoldResult:
-    """Folded graph plus the new number of each original vertex and edge."""
+class FoldResult(namedtuple("FoldResult", "graph vertex_map edge_map")):
+    """Folded graph plus the new number of each original vertex and edge,
+    each map a sequence of ints."""
 
-    graph: LabeledGraph
-    vertex_map: Sequence[int]
-    edge_map: Sequence[int]
+    __slots__ = ()
 
 
 def fold_to_immersion(g: LabeledGraph) -> FoldResult:

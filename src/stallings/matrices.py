@@ -15,7 +15,7 @@ shape parameters through its component count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import Subgroup
 from .graphs import DisjointSet, LabeledGraph
@@ -45,18 +45,16 @@ def branch_vertices(graph: LabeledGraph) -> tuple:
 # -- incidence matrix -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class IncidenceMatrix:
+class IncidenceMatrix(namedtuple("IncidenceMatrix", "row_vertices col_vertices entries")):
     """0/1 matrix pairing branch vertices across the two cores.
 
     Entry (i, j) is 1 exactly when the product vertex (row i's vertex,
     column j's vertex) is a branch vertex of the intersection core, so the
-    entry sum counts the intersection core's branch vertices.
+    entry sum counts the intersection core's branch vertices.  ``entries``
+    is a tuple of row tuples.
     """
 
-    row_vertices: tuple
-    col_vertices: tuple
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -115,23 +113,23 @@ def incidence_matrix(
 # -- normal form ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NormalForm:
+class NormalForm(
+    namedtuple(
+        "NormalForm", "blocks p q row_perm col_perm star_class_count matrix lemma_violations"
+    )
+):
     """Block form of the matrix under star-class grouping.
 
     Rows and columns are permuted so that rows/columns sharing a pushout
     star class are adjacent, giving square-free diagonal blocks, with the
     zero rows moved to the bottom and the zero columns to the right.
+    ``blocks`` holds the (row count, col count) of each block, ``p`` and
+    ``q`` count the zero rows and the zero columns, ``row_perm`` and
+    ``col_perm`` list the original indices in normal-form order, and
+    ``matrix`` holds the entries permuted into normal form.
     """
 
-    blocks: tuple[tuple[int, int], ...]  # (row count, col count) per block
-    p: int  # zero-row count
-    q: int  # zero-column count
-    row_perm: tuple[int, ...]  # original row indices, normal-form order
-    col_perm: tuple[int, ...]
-    star_class_count: int
-    matrix: tuple[tuple[int, ...], ...]  # entries permuted into normal form
-    lemma_violations: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ell(self) -> int:
@@ -271,12 +269,10 @@ def entry_sum_bound(h: int, k: int, ell: int, p: int, q: int) -> int:
 # -- bipartite summary -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BipartiteSummary:
+class BipartiteSummary(namedtuple("BipartiteSummary", "edge_count component_count")):
     """Shape of the row/column pairing graph: one edge per 1-entry."""
 
-    edge_count: int
-    component_count: int
+    __slots__ = ()
 
 
 def bipartite_delta(M: IncidenceMatrix, nf: NormalForm | None = None) -> BipartiteSummary:

@@ -20,9 +20,8 @@ pair of factor edges that its label reads from its source's coordinates.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable
 
 from .core import Subgroup, subgroup_graph
 from .graphs import (
@@ -57,12 +56,10 @@ def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
 # -- join -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class JoinResult:
-    subgroup: Subgroup
-    # per factor core vertex, the join core vertex it maps to
-    left_vertex_map: list
-    right_vertex_map: list
+class JoinResult(namedtuple("JoinResult", "subgroup left_vertex_map right_vertex_map")):
+    """The join, and per factor core vertex the join core vertex it maps to."""
+
+    __slots__ = ()
 
 
 def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
@@ -100,15 +97,15 @@ def join(H: Subgroup, K: Subgroup) -> Subgroup:
 # -- topological pushout ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class StarClassSummary:
-    """Equivalence classes of 3-valent vertex stars under star identification."""
+class StarClassSummary(namedtuple("StarClassSummary", "count assignment by_quotient_vertex")):
+    """Equivalence classes of 3-valent vertex stars under star identification.
 
-    count: int
-    # per side, each vertex's class index (None unless 3-valent)
-    assignment: tuple[list, list]
-    # quotient vertex -> class indices of the stars mapping onto it
-    by_quotient_vertex: dict
+    ``assignment`` holds a list per side, each vertex's class index (None
+    unless 3-valent); ``by_quotient_vertex`` maps a quotient vertex to the
+    class indices of the stars mapping onto it.
+    """
+
+    __slots__ = ()
 
 
 class PushoutResult:
@@ -284,18 +281,18 @@ def topological_pushout(
 # -- double cosets -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DoubleCosetEntry:
-    """One conjugacy class of nontrivial intersection with a conjugate."""
+class DoubleCosetEntry(namedtuple("DoubleCosetEntry", "core rank based")):
+    """One conjugacy class of nontrivial intersection with a conjugate: its
+    core (unbased, with product projections), its rank, and whether this
+    component holds the pair of basepoints."""
 
-    core: LabeledGraph  # unbased, with product projections
-    rank: int
-    based: bool  # whether this component holds the pair of basepoints
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class DoubleCosetDecomposition:
-    entries: tuple[DoubleCosetEntry, ...]
+class DoubleCosetDecomposition(namedtuple("DoubleCosetDecomposition", "entries")):
+    """The tuple of :class:`DoubleCosetEntry` of a pair."""
+
+    __slots__ = ()
 
     @property
     def ranks(self) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 from .core import (
@@ -50,8 +50,7 @@ NOT_APPLICABLE = "not_applicable"
 # -- verdicts ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status slack", defaults=(None,))):
     """Outcome of a single check.
 
     For a bound check the slack is (bound - value), nonnegative exactly when
@@ -60,8 +59,7 @@ class Verdict:
     inapplicable checks carry no slack.
     """
 
-    status: str
-    slack: int | None = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -199,41 +197,27 @@ def derive_verdicts(report) -> dict[str, Verdict]:
 # -- instance reports --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceReport:
+class InstanceReport(
+    namedtuple(
+        "InstanceReport",
+        "h k rank_meet rank_join chi_T chi_join double_coset_ranks pushout_refolds_to_join"
+        " normalized verdicts ell p q star_class_count entry_sum chi_T_norm chi_join_norm"
+        " special_vertex_count valence_bound_violation_count normal_form_violation_count"
+        " delta_edge_count delta_component_count"
+        " multicore_chi multicore_star_class_count multicore_special_count",
+        defaults=(None,) * 15,
+    )
+):
     """Everything the harness measures on one subgroup pair.
 
-    The numeric fields stand alone and ``verdicts`` is always exactly
-    ``derive_verdicts(self)``.  The fields after ``normalized`` describe the
-    normalized pair's pushout and matrix; they are ``None`` whenever the
+    The numeric fields stand alone and ``verdicts``, a dict from check name
+    to :class:`Verdict`, is always exactly ``derive_verdicts(self)``.  The
+    fields after ``verdicts`` describe the normalized pair's pushout and
+    matrix; they default to ``None``, and are ``None`` whenever the
     normalized pipeline did not run (trivial meet, or raw-only mode).
     """
 
-    h: int
-    k: int
-    rank_meet: int
-    rank_join: int
-    chi_T: int
-    chi_join: int
-    double_coset_ranks: tuple[int, ...]
-    pushout_refolds_to_join: bool
-    normalized: bool
-    ell: int | None = None
-    p: int | None = None
-    q: int | None = None
-    star_class_count: int | None = None
-    entry_sum: int | None = None
-    chi_T_norm: int | None = None
-    chi_join_norm: int | None = None
-    special_vertex_count: int | None = None
-    valence_bound_violation_count: int | None = None
-    normal_form_violation_count: int | None = None
-    delta_edge_count: int | None = None
-    delta_component_count: int | None = None
-    multicore_chi: int | None = None
-    multicore_star_class_count: int | None = None
-    multicore_special_count: int | None = None
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -244,7 +228,7 @@ class InstanceReport:
         return tuple(n for n, v in self.verdicts.items() if not v.ok)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["double_coset_ranks"] = list(self.double_coset_ranks)
         out["verdicts"] = {n: v.to_dict() for n, v in self.verdicts.items()}
         return out
@@ -468,17 +452,22 @@ def _random_reduced_word(rng: random.Random, length: int, alphabet: Alphabet) ->
 # -- fuzzing -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FuzzConfig:
-    """Campaign settings; identical configs produce identical streams."""
+class FuzzConfig(
+    namedtuple(
+        "FuzzConfig",
+        "seed instance_count min_generators max_generators max_word_length"
+        " structural require_nontrivial_meet",
+        defaults=(0, 100, 1, 4, 8, True, False),
+    )
+):
+    """Campaign settings; identical configs produce identical streams.
 
-    seed: int = 0
-    instance_count: int = 100
-    min_generators: int = 1
-    max_generators: int = 4
-    max_word_length: int = 8
-    structural: bool = True  # False checks the inequalities alone
-    require_nontrivial_meet: bool = False
+    The defaults: seed 0, 100 pairs of 1 to 4 generators of at most 8
+    letters each, full checks (``structural=False`` checks the inequalities
+    alone), and any meet, trivial or not.
+    """
+
+    __slots__ = ()
 
 
 def fuzz(config: FuzzConfig) -> Iterator[tuple[dict, dict, InstanceReport]]:

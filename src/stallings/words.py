@@ -14,8 +14,7 @@ The empty string and ``"1"`` both denote the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 _DIGITS = "0123456789"
 
@@ -28,15 +27,35 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
 class Alphabet:
-    """The generating set, indexed 0..rank-1, of a free group."""
+    """The generating set, indexed 0..rank-1, of a free group.  Immutable."""
 
-    rank: int = 2
+    __slots__ = ("rank",)
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"alphabet rank must be at least 1, got {self.rank}")
+    def __init__(self, rank: int = 2):
+        if rank < 1:
+            raise ValueError(f"alphabet rank must be at least 1, got {rank}")
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Alphabet, (self.rank,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Alphabet:
+            return NotImplemented
+        return self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.rank,))
+
+    def __repr__(self) -> str:
+        return f"Alphabet(rank={self.rank!r})"
 
     def identity(self) -> "Word":
         return Word(self, ())

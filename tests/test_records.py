@@ -1,6 +1,11 @@
-"""The result records are immutable values."""
+"""The result records: immutable values, and an import that stays light."""
 
+import copy
 import inspect
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +75,20 @@ def test_every_record_refuses_assignment_to_its_fields(records):
                 setattr(record, name, None)
 
 
+def test_every_record_survives_copy_and_pickle(records):
+    for record in records:
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_every_record_refuses_a_new_attribute(records):
+    """A frozen, slotted dataclass raised ``TypeError`` here on Python
+    3.10-3.11, from its ``__setattr__``'s ``super()`` call."""
+    for record in records:
+        with pytest.raises(AttributeError):
+            record.not_a_field = None
+
+
 @pytest.mark.parametrize("rank", [0, -1])
 def test_alphabet_refuses_a_rank_below_one(rank):
     with pytest.raises(ValueError, match=f"^alphabet rank must be at least 1, got {rank}$"):
@@ -82,6 +101,8 @@ def test_alphabet_is_a_value():
     assert Alphabet(3) != RANK2
     assert repr(RANK2) == "Alphabet(rank=2)"
     assert {Alphabet(2): 1}[RANK2] == 1
+    with pytest.raises(AttributeError):
+        del RANK2.rank
 
 
 def test_reports_built_without_verdicts_share_no_dict():
@@ -94,3 +115,23 @@ def test_reports_built_without_verdicts_share_no_dict():
     except TypeError:
         return
     assert first.verdicts is not second.verdicts
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """A fresh interpreter: pytest itself has loaded ``dataclasses`` here,
+    and on some Pythons ``site`` preloads ``typing``, so the check compares
+    the modules present before and after the import."""
+    src = str(Path(stallings.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import stallings\n"
+        "added = set(sys.modules) - before\n"
+        "print(' '.join(sorted(added & {'dataclasses', 'inspect', 'typing'})))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

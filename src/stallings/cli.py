@@ -229,7 +229,11 @@ def _cmd_core(args, stdout, stderr) -> int:
             words.append(alphabet.word(text))
         except WordSyntaxError as exc:
             raise CliError(f"generator {i + 1} ({text!r}): {exc}")
-    return _print_subgroup(subgroup_graph(words, alphabet), args, stdout)
+    try:
+        sub = subgroup_graph(words, alphabet)
+    except ValueError as exc:  # a dart table past SLOT_BUDGET
+        raise CliError(str(exc))
+    return _print_subgroup(sub, args, stdout)
 
 
 def _cmd_intersect(args, stdout, stderr) -> int:
@@ -393,8 +397,8 @@ def _require_same_alphabet(H: Subgroup, K: Subgroup) -> None:
         )
 
 
-def _indent(text: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line for line in text.splitlines())
+def _indent(text: str) -> str:
+    return "\n".join("  " + line for line in text.splitlines())
 
 
 if __name__ == "__main__":

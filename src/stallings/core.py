@@ -95,19 +95,9 @@ class Subgroup:
 
 
 @_collector_paused
-def subgroup_graph(gens: Iterable[Word | str], alphabet: Alphabet | None = None) -> Subgroup:
-    """Build the subgroup generated by words (strings are parsed)."""
-    parsed: list[Word] = []
-    for w in gens:
-        if isinstance(w, str):
-            if alphabet is None:
-                raise ValueError("an alphabet is required to parse string generators")
-            w = alphabet.word(w)
-        parsed.append(w)
-    if alphabet is None:
-        if not parsed:
-            raise ValueError("an alphabet is required for an empty generator list")
-        alphabet = parsed[0].alphabet
+def subgroup_graph(gens: Iterable[Word | str], alphabet: Alphabet) -> Subgroup:
+    """Build the subgroup of ``alphabet`` generated by words (strings are parsed)."""
+    parsed = [alphabet.word(w) if isinstance(w, str) else w for w in gens]
     folded = fold_to_immersion(bouquet_of(parsed, alphabet)).graph
     core = trim_to_core(folded)
     kept = tuple(w for w in parsed if not w.is_identity)

@@ -40,6 +40,12 @@ from .words import Alphabet, Word
 
 _DOT_COLORS = ("black", "red2", "blue2", "forestgreen", "darkorange", "purple")
 
+#: Dart slots (``2 * rank`` per vertex) a graph may hold; a graph past it is
+#: refused before its table is allocated.  A slot takes 8 bytes, so the table
+#: stays under 134 MB.  The largest any pinned run builds is 320,436 slots,
+#: on the self pair of three 10,000-letter generators.
+SLOT_BUDGET = 2**24
+
 
 def _collector_paused(fn):
     """Run ``fn`` with the cyclic garbage collector off.
@@ -96,7 +102,7 @@ class DisjointSet:
 
     __slots__ = ("parent",)
 
-    def __init__(self, size: int = 0):
+    def __init__(self, size: int):
         self.parent: list = list(range(size))
 
     def find(self, x: int) -> int:
@@ -180,12 +186,17 @@ class LabeledGraph:
             len(projections[0]) == len(projections[1]) == vertex_count
         ):
             raise ValueError("projection lists do not cover the vertices")
+        width = 2 * rank
+        if width * vertex_count > SLOT_BUDGET:
+            raise ValueError(
+                f"a graph of rank {rank} needs {width * vertex_count} dart slots "
+                f"(2 * rank per vertex), more than the {SLOT_BUDGET} allowed"
+            )
         self.rank = rank
         self.basepoint = basepoint
         self.vertex_count = vertex_count
         self.edge_count = m
         self.projections = projections
-        width = 2 * rank
         slots = [-1] * (width * vertex_count)
         degree = [0] * vertex_count
         clashes: dict = {}
@@ -296,11 +307,16 @@ class LabeledGraph:
     def subgraph(self, keep: Iterable[int], *, basepoint: int | None = None) -> "LabeledGraph":
         """The graph on the vertices ``keep`` and the edges between them,
         both renumbered in their old order, the basepoint (given in this
-        graph's numbers) and any projections carried over."""
+        graph's numbers) and any projections carried over.  Raises
+        ``ValueError`` on a vertex this graph lacks or one kept twice."""
         keep = sorted(keep)
+        if keep and (keep[0] < 0 or keep[-1] >= self.vertex_count):
+            raise ValueError("a kept vertex is not in the graph")
         new = [-1] * self.vertex_count
         for i, v in enumerate(keep):
             new[v] = i
+        if new.count(-1) != self.vertex_count - len(keep):  # a repeat is numbered once
+            raise ValueError("a vertex is kept twice")
         labels, sources, targets = [], [], []
         for label, src, dst in zip(self._labels, self._sources, self._targets):
             src, dst = new[src], new[dst]
@@ -308,7 +324,7 @@ class LabeledGraph:
                 labels.append(label)
                 sources.append(src)
                 targets.append(dst)
-        bp = None if basepoint is None else new[basepoint]
+        bp = None if basepoint is None else new[self._vertex(basepoint)]
         if bp == -1:
             raise ValueError(f"basepoint {basepoint!r} is not kept")
         projections = self.projections
@@ -444,7 +460,7 @@ class LabeledGraph:
 # -- builders ---------------------------------------------------------------------
 
 
-def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> LabeledGraph:
+def bouquet_of(gens: Iterable[Word], alphabet: Alphabet) -> LabeledGraph:
     """A based graph that folds onto the core of the subgroup ``gens`` generate.
 
     The graph is a fold-quotient of the plain bouquet (one subdivided loop
@@ -457,11 +473,7 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
     clashes left for the fold are the true identifications the reading
     could not make.
     """
-    gens = list(gens)
-    if alphabet is None:
-        if not gens:
-            raise ValueError("an alphabet is required for an empty generator list")
-        alphabet = gens[0].alphabet
+    gens = sorted(gens, key=len)
     if any(w.alphabet != alphabet for w in gens):
         raise ValueError("generators use mismatched alphabets")
     labels: list = []
@@ -505,7 +517,7 @@ def bouquet_of(gens: Iterable[Word], alphabet: Alphabet | None = None) -> Labele
             v = w
         return v
 
-    for w in sorted(gens, key=len):
+    for w in gens:
         letters = w.letters
         if not letters:
             continue

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .core import Subgroup
 from .graphs import DisjointSet, LabeledGraph
-from .products import LEFT, RIGHT, PushoutResult, based_meet_core
+from .products import LEFT, RIGHT, PushoutResult
 
 
 class NotNormalizedError(ValueError):
@@ -80,22 +80,19 @@ class IncidenceMatrix(namedtuple("IncidenceMatrix", "row_vertices col_vertices e
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-def incidence_matrix(
-    H: Subgroup, K: Subgroup, meet_core: LabeledGraph | None = None
-) -> IncidenceMatrix:
+def incidence_matrix(H: Subgroup, K: Subgroup, meet_core: LabeledGraph) -> IncidenceMatrix:
     """Pair the branch vertices of two normalized cores through their meet.
 
     ``meet_core`` is the pair's based meet core with its product
-    projections, as :func:`based_meet_core` builds it; None builds it here.
+    projections, as :func:`~stallings.products.based_meet_core` builds it.
     """
     _require_normalized(H.graph, "left")
     _require_normalized(K.graph, "right")
-    meet = based_meet_core(H, K) if meet_core is None else meet_core
-    if meet.projections is None:
+    if meet_core.projections is None:
         raise ValueError("meet core has no product projections")
     n_K = K.graph.vertex_count
     meet_branch = set()  # left vertex * n_K + right vertex of each meet branch vertex
-    for x, y, d in zip(*meet.projections, meet._degree):
+    for x, y, d in zip(*meet_core.projections, meet_core._degree):
         if d >= 3:
             if not (0 <= x < H.graph.vertex_count and 0 <= y < n_K):
                 raise ValueError("meet core does not project into the given pair")

@@ -9,8 +9,8 @@ controls the join.  No construction here builds the whole product: the
 meet grows the basepoint's component alone, and the double cosets read
 the segments of one core between its branch vertices in the other.  The
 join itself is folded from the bouquet of both generator lists, like any
-subgroup, and each factor's core finds its image there as its based
-product with the join's core.
+subgroup; the fiber-class probe of :mod:`stallings.verify`, not the join,
+reads each factor core's image in the join's core off their based product.
 
 Throughout, a product graph is numbered densely like any other graph and
 keeps its coordinates as two projection lists (``projections``): the left
@@ -56,36 +56,6 @@ def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
 # -- join -----------------------------------------------------------------------
 
 
-class JoinResult(namedtuple("JoinResult", "subgroup left_vertex_map right_vertex_map")):
-    """The join, and per factor core vertex the join core vertex it maps to."""
-
-    __slots__ = ()
-
-
-def join_with_maps(H: Subgroup, K: Subgroup) -> JoinResult:
-    """The join, with the join core vertex that each factor core vertex
-    maps to.
-
-    Each factor's core immerses into the join's, basepoint to basepoint, so
-    the based product of the two pairs every factor vertex with its image
-    alone.
-    """
-    J = join(H, K)
-    return JoinResult(J, _immersion(H.graph, J.graph), _immersion(K.graph, J.graph))
-
-
-def _immersion(factor: LabeledGraph, core: LabeledGraph) -> list:
-    """The image in ``core`` of each vertex of ``factor``, read off their
-    based product; raises unless ``factor`` immerses into ``core``."""
-    left, right = based_product(factor, core).projections
-    image = [None] * factor.vertex_count
-    for v, z in zip(left, right):
-        image[v] = z
-    if len(left) != factor.vertex_count or None in image:
-        raise ValueError("a factor core does not immerse into the join core")
-    return image
-
-
 def join(H: Subgroup, K: Subgroup) -> Subgroup:
     """The subgroup generated by both factors together: the fold of the
     bouquet of both generator lists."""
@@ -126,7 +96,7 @@ class PushoutResult:
         graph: LabeledGraph,
         vertex_class: tuple[list, list],
         edge_class: tuple[list, list],
-        star_seeds: tuple = (),
+        star_seeds: tuple,
     ):
         self.left = left
         self.right = right

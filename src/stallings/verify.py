@@ -37,7 +37,6 @@ from .products import (
     double_cosets,
     intersection,
     join,
-    join_with_maps,
     topological_pushout,
 )
 from .words import RANK2, Alphabet, Word, embed_into_rank2, generator_squares
@@ -679,8 +678,9 @@ def check_sharpness_suite() -> dict:
     return {"witnesses": witnesses, "rank_four_scan": scan, "ok": ok}
 
 
-def _rank_four_join_scan(pair_count: int = 120, seed: int = 20260814) -> dict:
-    rng = random.Random(seed)
+def _rank_four_join_scan() -> dict:
+    pair_count = 120
+    rng = random.Random(20260814)
     rank_four = 0
     all_trivial = True
     for _ in range(pair_count):
@@ -820,12 +820,17 @@ def imrich_muller_probe(H: Subgroup, K: Subgroup) -> dict:
     probe also reports whether the two basepoints form a class by
     themselves, which is what the pushout's basepoint argument relies on.
     """
-    joined = join_with_maps(H, K)
+    J = join(H, K)
     po = topological_pushout(H, K, [based_meet_core(H, K)])
 
+    # each factor core immerses into the join's, basepoint to basepoint, so
+    # their based product pairs every factor vertex with its image alone
     fibers: dict = {}
-    for side, vertex_map in ((LEFT, joined.left_vertex_map), (RIGHT, joined.right_vertex_map)):
-        for v, z in enumerate(vertex_map):
+    for side, factor in ((LEFT, H.graph), (RIGHT, K.graph)):
+        pairs = sorted(zip(*based_product(factor, J.graph).projections))
+        if [v for v, _ in pairs] != list(factor.vertices):
+            raise ValueError("a factor core does not immerse into the join core")
+        for v, z in pairs:
             fibers.setdefault(z, []).append((side, v))
 
     per_vertex = []

@@ -68,13 +68,6 @@ def test_string_generators_are_parsed():
     assert subgroup_graph(["a", "bab"], RANK2) == make("a", "bab")
 
 
-def test_subgroup_graph_requires_alphabet_for_strings():
-    with pytest.raises(ValueError):
-        subgroup_graph(["a"])
-    with pytest.raises(ValueError):
-        subgroup_graph([])
-
-
 def test_spec_dict_round_trip():
     H = make("a", "bab")
     again = subgroup_from_spec(H.spec_dict())

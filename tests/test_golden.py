@@ -120,6 +120,13 @@ ERRORS = {
         "error: basepoint normalization needs a nontrivial intersection\n",
     ("check", json.dumps({"alphabet_rnak": 3, "generators": ["a"]}), json.dumps({"generators": ["a"]})):
         "error: SPEC_H: unknown spec key 'alphabet_rnak' (expected alphabet_rank, generators)\n",
+    # a wide alphabet is refused before its dart table is allocated
+    ("core", "a", "--rank", "1000000000"):
+        "error: a graph of rank 1000000000 needs 2000000000 dart slots (2 * rank per vertex),"
+        " more than the 16777216 allowed\n",
+    ("check", json.dumps({"alphabet_rank": 10**9, "generators": ["abab"]}), _spec("a")):
+        "error: SPEC_H: a graph of rank 1000000000 needs 8000000000 dart slots"
+        " (2 * rank per vertex), more than the 16777216 allowed\n",
 }
 
 

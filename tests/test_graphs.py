@@ -11,6 +11,7 @@ import stallings
 from stallings import (
     Alphabet,
     LabeledGraph,
+    PushoutResult,
     RANK2,
     Word,
     bouquet_of,
@@ -27,7 +28,7 @@ OUT, IN = "out", "in"
 
 
 def folded_core_of(*texts):
-    g = fold_to_immersion(bouquet_of([RANK2.word(t) for t in texts])).graph
+    g = fold_to_immersion(bouquet_of([RANK2.word(t) for t in texts], RANK2)).graph
     return trim_to_core(g)
 
 
@@ -79,11 +80,26 @@ def test_graph_rejects_ragged_edge_lists_and_projections():
         graph_of(2, 2, [(0, 0, 1)], projections=([0, 1], [0]))
 
 
+def test_graph_refuses_a_dart_table_past_the_slot_budget(monkeypatch):
+    """A wide alphabet is refused before its ``2 * rank`` slots per vertex
+    are allocated: just past the budget, and far past it."""
+    assert stallings.graphs.SLOT_BUDGET == 2**24
+    for rank in (2**23 + 1, 10**9):
+        with pytest.raises(ValueError, match="dart slots"):
+            LabeledGraph(rank, 1, [], [], [])
+    with pytest.raises(ValueError, match="dart slots"):
+        subgroup_graph(["abab"], Alphabet(10**9))
+    monkeypatch.setattr(stallings.graphs, "SLOT_BUDGET", 8)
+    assert LabeledGraph(2, 2, [], [], [])._slots == [-1] * 8  # at the budget
+    with pytest.raises(ValueError, match="12 dart slots"):
+        LabeledGraph(2, 3, [], [], [])
+
+
 # -- bouquets -----------------------------------------------------------------------
 
 
 def test_bouquet_of_two_letters():
-    g = bouquet_of([RANK2.word("a"), RANK2.word("b")])
+    g = bouquet_of([RANK2.word("a"), RANK2.word("b")], RANK2)
     assert (g.vertex_count, g.edge_count, g.chi) == (1, 2, -1)
     assert g.basepoint is not None
 
@@ -94,7 +110,7 @@ def test_bouquet_of_nothing_is_a_point():
 
 
 def test_bouquet_of_length_two_word():
-    g = bouquet_of([RANK2.word("ab")])
+    g = bouquet_of([RANK2.word("ab")], RANK2)
     assert (g.vertex_count, g.edge_count, g.chi) == (2, 2, 0)
 
 
@@ -105,22 +121,22 @@ def test_bouquet_drops_identity_words():
 
 def test_bouquet_rejects_mismatched_alphabets():
     with pytest.raises(ValueError, match="mismatched alphabets"):
-        bouquet_of([RANK2.word("a"), Alphabet(3).word("c")])
+        bouquet_of([RANK2.word("a"), Alphabet(3).word("c")], RANK2)
 
 
 def test_bouquet_reads_the_darts_already_laid():
     # "a" is read along the a-loop, so only the b-loop is laid
-    g = bouquet_of([RANK2.word("ab"), RANK2.word("a")])
+    g = bouquet_of([RANK2.word("ab"), RANK2.word("a")], RANK2)
     assert (g.vertex_count, g.edge_count) == (1, 2)
     assert g.is_properly_labeled()
     # b c B with c = aB: the stem b and the tail B of c read along the b-loop
-    g = bouquet_of([RANK2.word("baBB"), RANK2.word("b")])
+    g = bouquet_of([RANK2.word("baBB"), RANK2.word("b")], RANK2)
     assert (g.vertex_count, g.edge_count) == (1, 2)
     assert g.is_properly_labeled()
 
 
 def test_bouquet_lays_a_conjugate_as_stem_and_loop():
-    g = bouquet_of([RANK2.word("abbA")])
+    g = bouquet_of([RANK2.word("abbA")], RANK2)
     assert (g.vertex_count, g.edge_count) == (3, 3)
     assert g.is_properly_labeled()
     assert g.valence(g.basepoint) == 1
@@ -129,7 +145,7 @@ def test_bouquet_lays_a_conjugate_as_stem_and_loop():
 def test_bouquet_lays_an_edge_for_a_generator_it_can_read():
     # a generator is never read whole: its last edge clashes, and the fold
     # identifies it
-    g = bouquet_of([RANK2.word("a"), RANK2.word("a")])
+    g = bouquet_of([RANK2.word("a"), RANK2.word("a")], RANK2)
     assert (g.vertex_count, g.edge_count) == (1, 2)
     assert not g.is_properly_labeled()
 
@@ -165,13 +181,13 @@ def test_bouquet_folds_like_the_plain_bouquet(case):
 
 
 def test_fold_merges_equal_petals():
-    g = fold_to_immersion(bouquet_of([RANK2.word("a"), RANK2.word("a")])).graph
+    g = fold_to_immersion(bouquet_of([RANK2.word("a"), RANK2.word("a")], RANK2)).graph
     assert (g.vertex_count, g.edge_count) == (1, 1)
     assert g.is_properly_labeled()
 
 
 def test_fold_is_idempotent():
-    g = fold_to_immersion(bouquet_of([RANK2.word("a"), RANK2.word("ab")])).graph
+    g = fold_to_immersion(bouquet_of([RANK2.word("a"), RANK2.word("ab")], RANK2)).graph
     again = fold_to_immersion(g).graph
     assert g.canonical().graph == again.canonical().graph
 
@@ -179,13 +195,13 @@ def test_fold_is_idempotent():
 def test_fold_overlapping_prefix():
     # The petals "a" and "ab" share their first edge; after folding, one
     # a-loop and one b-loop remain at the basepoint.
-    g = fold_to_immersion(bouquet_of([RANK2.word("a"), RANK2.word("ab")])).graph
+    g = fold_to_immersion(bouquet_of([RANK2.word("a"), RANK2.word("ab")], RANK2)).graph
     assert (g.vertex_count, g.edge_count, g.chi) == (1, 2, -1)
     assert g.edge_count - g.vertex_count + len(components(g)) == 2
 
 
 def test_fold_result_maps_cover_the_input():
-    bouquet = bouquet_of([RANK2.word("a"), RANK2.word("ab")])
+    bouquet = bouquet_of([RANK2.word("a"), RANK2.word("ab")], RANK2)
     result = fold_to_immersion(bouquet)
     assert len(result.vertex_map) == bouquet.vertex_count
     assert len(result.edge_map) == bouquet.edge_count
@@ -194,7 +210,7 @@ def test_fold_result_maps_cover_the_input():
 
 
 def test_fold_preserves_basepoint_image():
-    bouquet = bouquet_of([RANK2.word("ab"), RANK2.word("aB")])
+    bouquet = bouquet_of([RANK2.word("ab"), RANK2.word("aB")], RANK2)
     result = fold_to_immersion(bouquet)
     assert result.graph.basepoint == result.vertex_map[bouquet.basepoint]
 
@@ -378,7 +394,7 @@ def test_trim_single_vertex():
 def test_trim_keeps_extremal_basepoint():
     # Folded "abA": an a-edge from the basepoint into a b-loop.  The
     # basepoint is extremal but survives trimming by default.
-    g = fold_to_immersion(bouquet_of([RANK2.word("abA")])).graph
+    g = fold_to_immersion(bouquet_of([RANK2.word("abA")], RANK2)).graph
     t = trim_to_core(g)
     assert (t.vertex_count, t.edge_count) == (2, 2)
     assert t.valence(t.basepoint) == 1
@@ -386,7 +402,7 @@ def test_trim_keeps_extremal_basepoint():
 
 
 def test_trim_without_basepoint_protection():
-    g = fold_to_immersion(bouquet_of([RANK2.word("abA")])).graph
+    g = fold_to_immersion(bouquet_of([RANK2.word("abA")], RANK2)).graph
     t = trim_to_core(g, keep_basepoint=False)
     assert (t.vertex_count, t.edge_count) == (1, 1)
 
@@ -604,7 +620,7 @@ def test_canonical_is_stable_under_relabeling():
 
 
 def test_canonical_distinguishes_basepoints():
-    g = fold_to_immersion(bouquet_of([RANK2.word("abA")])).graph
+    g = fold_to_immersion(bouquet_of([RANK2.word("abA")], RANK2)).graph
     core = trim_to_core(g)
     rebased = core.with_basepoint(
         next(v for v in core.vertices if v != core.basepoint)
@@ -624,6 +640,20 @@ def test_rebasing_shares_the_tables_and_refuses_a_missing_vertex():
     for v in (-1, core.vertex_count):
         with pytest.raises(ValueError, match="missing from vertex set"):
             core.with_basepoint(v)
+
+
+def test_subgraph_refuses_vertices_it_does_not_have():
+    """A negative id would wrap, a large one would index past the end, and a
+    repeated one would number a phantom vertex."""
+    path = graph_of(2, 3, [(0, 0, 1), (1, 1, 2)])
+    for keep in ([-1, 0], [0, 5], [0, 0, 1]):
+        with pytest.raises(ValueError):
+            path.subgraph(keep)
+    for basepoint in (-1, 3):
+        with pytest.raises(ValueError):
+            path.subgraph([0, 1, 2], basepoint=basepoint)
+    sub = path.subgraph([2, 1], basepoint=2)
+    assert (list(sub.edges()), sub.basepoint) == ([(0, 1, 0, 1)], 1)
 
 
 def test_subgroup_cores_are_already_canonical():
@@ -760,6 +790,43 @@ def test_components_cover_vertices():
 
 
 # -- API surface ----------------------------------------------------------------------
+
+
+def _names_read_in_the_package() -> set:
+    """Every name loaded and every attribute read by a module of the package,
+    outside the definitions enclosing the read (so a recursive call does not
+    count); imports and ``__all__`` hold no such read."""
+    read = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in pathlib.Path(stallings.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return read
+
+
+def test_every_public_name_has_a_reader_in_the_package():
+    """Every name in ``stallings.__all__`` and every public ``PushoutResult``
+    member is read somewhere in the package.  ``normalize_pair`` and
+    ``PushoutResult.folded_core`` are read only by ``bench/tracing.py``, the
+    benchmark's traced replica of ``check_instance``; they stay until the
+    benchmark traces the real pipeline (ROADMAP item 1(b))."""
+    public = list(stallings.__all__)
+    public += [name for name in vars(PushoutResult) if not name.startswith("_")]
+    read = _names_read_in_the_package()
+    assert sorted(name for name in public if name not in read) == ["folded_core", "normalize_pair"]
 
 
 def test_every_public_graph_member_has_a_caller_in_the_package():

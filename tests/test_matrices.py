@@ -40,14 +40,16 @@ def normalized_setup(H, K):
 
 def test_incidence_matrix_rejects_fat_vertices():
     # The rose has a valence-4 basepoint.
+    H = make("a", "b")
     with pytest.raises(NotNormalizedError):
-        incidence_matrix(make("a", "b"), make("a", "b"))
+        incidence_matrix(H, H, based_meet_core(H, H))
 
 
 def test_incidence_matrix_rejects_extremal_vertices():
     # The core of <abA> keeps a valence-1 basepoint.
+    H = make("abA")
     with pytest.raises(NotNormalizedError):
-        incidence_matrix(make("abA"), make("abA"))
+        incidence_matrix(H, H, based_meet_core(H, H))
 
 
 def test_branch_vertices_of_a_rose():
@@ -87,13 +89,6 @@ def test_entry_sum_counts_meet_branch_vertices():
         Hn, Kn, meet, po, M = normalized_setup(make(*pair[0]), make(*pair[1]))
         meet_branch = sum(1 for v in meet.vertices if meet.valence(v) >= 3)
         assert M.entry_sum == meet_branch
-
-
-def test_incidence_matrix_accepts_precomputed_inputs():
-    Hn, Kn = normalize_pair(make("a", "bab"), make("b", "aa"))
-    direct = incidence_matrix(Hn, Kn)
-    via_core = incidence_matrix(Hn, Kn, based_meet_core(Hn, Kn))
-    assert direct == via_core
 
 
 def test_incidence_matrix_rejects_junk_third_argument():

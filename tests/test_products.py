@@ -23,7 +23,6 @@ from stallings import (
     fold_to_immersion,
     intersection,
     join,
-    join_with_maps,
     membership,
     normalize_pair,
     subgroup_graph,
@@ -34,7 +33,7 @@ from stallings.verify import SQUARES_LEFT, SQUARES_RIGHT, _random_reduced_word, 
 from stallings.words import generator_squares
 
 import stallings.products
-from stallings.graphs import DisjointSet, _trimmed
+from stallings.graphs import DisjointSet, _trimmed, based_product
 from stallings.products import _segments
 from conftest import (
     FIGURE_LEFT,
@@ -278,16 +277,33 @@ def test_join_canonicalizes_its_core_once(monkeypatch):
     assert calls[0].vertex_count == J.graph.vertex_count
 
 
-def test_join_with_maps_sends_basepoints_together():
+def _factor_maps(H, K, J):
+    """Each factor core vertex's image in the join core ``J``, read off the
+    based product of the two; every factor vertex must be paired exactly
+    once, and the basepoint pair must be product vertex 0."""
+    maps = []
+    for factor in (H.graph, K.graph):
+        left, right = based_product(factor, J.graph).projections
+        assert sorted(left) == list(factor.vertices)
+        assert (left[0], right[0]) == (factor.basepoint, J.graph.basepoint)
+        image = [None] * factor.vertex_count
+        for v, z in zip(left, right):
+            image[v] = z
+        maps.append(image)
+    return maps
+
+
+def test_factor_cores_map_basepoints_together():
     H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
-    res = join_with_maps(H, K)
-    bp = res.subgroup.graph.basepoint
-    assert res.left_vertex_map[H.graph.basepoint] == bp
-    assert res.right_vertex_map[K.graph.basepoint] == bp
-    assert len(res.left_vertex_map) == H.graph.vertex_count
-    assert len(res.right_vertex_map) == K.graph.vertex_count
-    for img in res.left_vertex_map + res.right_vertex_map:
-        assert 0 <= img < res.subgroup.graph.vertex_count
+    J = join(H, K)
+    left_map, right_map = _factor_maps(H, K, J)
+    bp = J.graph.basepoint
+    assert left_map[H.graph.basepoint] == bp
+    assert right_map[K.graph.basepoint] == bp
+    assert len(left_map) == H.graph.vertex_count
+    assert len(right_map) == K.graph.vertex_count
+    for img in left_map + right_map:
+        assert 0 <= img < J.graph.vertex_count
 
 
 def test_join_rank_can_exceed_ambient_when_factors_are_small():
@@ -365,12 +381,11 @@ def test_join_matches_the_folded_wedge(seed, kind, rank):
     generators and vertex maps that folding the two cores' wedge gives,
     and every factor vertex has an image."""
     H, K = _join_pair(seed, kind, rank)
-    res = join_with_maps(H, K)
+    J = join(H, K)
     graph, left, right = _wedge_join(H, K)
-    assert res.subgroup.graph == graph
-    assert res.subgroup.generators == H.generators + K.generators
-    assert res.left_vertex_map == left
-    assert res.right_vertex_map == right
+    assert J.graph == graph
+    assert J.generators == H.generators + K.generators
+    assert _factor_maps(H, K, J) == [left, right]
     assert None not in left + right
 
 

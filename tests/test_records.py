@@ -21,7 +21,6 @@ from stallings import (
     fold_to_immersion,
     bouquet_of,
     incidence_matrix,
-    join_with_maps,
     normal_form,
     normalize_pair,
     topological_pushout,
@@ -49,7 +48,6 @@ def _records():
         M,
         nf,
         bipartite_delta(M, nf),
-        join_with_maps(H, K),
         po.star_classes(),
         decomposition.entries[0],
         decomposition,

@@ -625,7 +625,7 @@ def test_entry_points_restore_the_collector():
     calls = (
         lambda: subgroup_graph(["a", "bab"], RANK2),
         lambda: check_instance(make("a", "bab"), make("b", "aa")),
-        lambda: subgroup_graph(["a"]),  # no alphabet to parse with
+        lambda: subgroup_graph(["c"], RANK2),  # a letter past the rank
         lambda: check_instance(subgroup_graph([], RANK2), make("a")),
         lambda: check_instance(subgroup_graph(["a"], A3), subgroup_graph(["a"], A3)),
     )

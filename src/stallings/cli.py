@@ -5,7 +5,9 @@ Subgroups arrive either as inline JSON (``{"alphabet_rank": 2,
 file holding the same JSON.  Output is aligned text by default, machine
 JSON under ``--json``, and Graphviz DOT under ``--dot`` where a graph is
 the result.  Exit codes: 0 when everything passed or was inapplicable,
-2 when some verdict failed, 1 for usage or input errors.
+2 when some verdict failed, 1 for usage or input errors.  Every refusal,
+the CLI's own or the library's, is a ``ValueError``; :func:`run` is the one
+place that turns it into an ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import os
 import sys
 
-from .core import Subgroup, TrivialIntersectionError, subgroup_from_spec, subgroup_graph
+from .core import Subgroup, subgroup_from_spec, subgroup_graph
 from .matrices import NotNormalizedError
 from .products import based_meet_core, intersection, join, topological_pushout
 from .verify import (
@@ -28,10 +30,6 @@ from .verify import (
     matrix_pipeline,
 )
 from .words import Alphabet, WordSyntaxError
-
-
-class CliError(Exception):
-    """Input or usage problem; rendered to stderr with exit code 1."""
 
 
 def main() -> None:
@@ -56,7 +54,7 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args, stdout, stderr)
-    except (CliError, WordSyntaxError, NotNormalizedError, TrivialIntersectionError) as exc:
+    except ValueError as exc:  # every refusal, from the CLI or the library
         print(f"error: {exc}", file=stderr)
         return 1
 
@@ -156,34 +154,37 @@ def _load_subgroup(text: str, arg_name: str) -> Subgroup:
         try:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
-            raise CliError(f"{arg_name}: invalid JSON at position {exc.pos}: {exc.msg}")
+            raise ValueError(f"{arg_name}: invalid JSON at position {exc.pos}: {exc.msg}")
     else:
-        if not os.path.exists(stripped):
-            raise CliError(f"{arg_name}: no such file: {stripped}")
         try:
             with open(stripped, encoding="utf-8") as handle:
                 raw = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
-            raise CliError(f"{arg_name}: cannot read {stripped}: {reason}")
+            raise ValueError(f"{arg_name}: cannot read {stripped}: {reason}")
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise CliError(
+            raise ValueError(
                 f"{arg_name}: invalid JSON in {stripped} "
                 f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
             )
     if not isinstance(data, dict):
-        raise CliError(f"{arg_name}: expected a JSON object with a generators list")
+        raise ValueError(f"{arg_name}: expected a JSON object with a generators list")
     try:
         return subgroup_from_spec(data)
     except ValueError as exc:  # WordSyntaxError included
-        raise CliError(f"{arg_name}: {exc}")
+        raise ValueError(f"{arg_name}: {exc}")
 
 
 def _load_pair(args) -> tuple[Subgroup, Subgroup]:
     H = _load_subgroup(args.left_spec, "SPEC_H")
     K = _load_subgroup(args.right_spec, "SPEC_K")
+    if H.alphabet != K.alphabet:
+        raise ValueError(
+            f"alphabet mismatch: SPEC_H has rank {H.alphabet.rank}, "
+            f"SPEC_K has rank {K.alphabet.rank}"
+        )
     return H, K
 
 
@@ -220,37 +221,28 @@ def _print_subgroup(sub: Subgroup, args, stdout) -> int:
 
 
 def _cmd_core(args, stdout, stderr) -> int:
-    if args.rank < 1:
-        raise CliError("--rank must be at least 1")
     alphabet = Alphabet(args.rank)
     words = []
     for i, text in enumerate(args.generators):
         try:
             words.append(alphabet.word(text))
         except WordSyntaxError as exc:
-            raise CliError(f"generator {i + 1} ({text!r}): {exc}")
-    try:
-        sub = subgroup_graph(words, alphabet)
-    except ValueError as exc:  # a dart table past SLOT_BUDGET
-        raise CliError(str(exc))
-    return _print_subgroup(sub, args, stdout)
+            raise ValueError(f"generator {i + 1} ({text!r}): {exc}")
+    return _print_subgroup(subgroup_graph(words, alphabet), args, stdout)
 
 
 def _cmd_intersect(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
-    _require_same_alphabet(H, K)
     return _print_subgroup(intersection(H, K), args, stdout)
 
 
 def _cmd_join(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
-    _require_same_alphabet(H, K)
     return _print_subgroup(join(H, K), args, stdout)
 
 
 def _cmd_pushout(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
-    _require_same_alphabet(H, K)
     po = topological_pushout(H, K, [based_meet_core(H, K)])
     if args.dot:
         print(po.graph.to_dot(), file=stdout)
@@ -275,18 +267,14 @@ def _cmd_pushout(args, stdout, stderr) -> int:
 
 def _cmd_matrix(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
-    _require_same_alphabet(H, K)
     if args.normalize:
-        try:
-            H, K, meet_core = _normalize_with_meet(H, K)
-        except ValueError as exc:  # a trivial meet, or an alphabet not of rank 2
-            raise CliError(str(exc))
+        H, K, meet_core = _normalize_with_meet(H, K)
     else:
         meet_core = based_meet_core(H, K)
     try:
         _, M, nf, delta, bound = matrix_pipeline(H, K, meet_core)
     except NotNormalizedError as exc:
-        raise CliError(f"{exc} (rerun with --normalize)")
+        raise ValueError(f"{exc} (rerun with --normalize)")
     data = {
         "shape": list(M.shape),
         "entry_sum": M.entry_sum,
@@ -331,11 +319,7 @@ def _cmd_matrix(args, stdout, stderr) -> int:
 
 def _cmd_check(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
-    _require_same_alphabet(H, K)
-    try:
-        report = check_instance(H, K)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = check_instance(H, K)
     if args.json:
         print(report.to_json(), file=stdout)
     else:
@@ -377,24 +361,14 @@ def _cmd_fuzz(args, stdout, stderr) -> int:
         require_nontrivial_meet=args.nontrivial_meet,
     )
     count = failed = 0
-    try:
-        for left, right, report in fuzz(config):
-            stdout.write(fuzz_line(count, left, right, report) + "\n")
-            stdout.flush()
-            count += 1
-            failed += not report.ok
-    except ValueError as exc:  # a bad config, or a pair refused mid-stream
-        raise CliError(str(exc))
+    # flushed line by line: a pair refused mid-stream keeps the lines before it
+    for left, right, report in fuzz(config):
+        stdout.write(fuzz_line(count, left, right, report) + "\n")
+        stdout.flush()
+        count += 1
+        failed += not report.ok
     print(f"instances: {count}  violations: {failed}  ok: {failed == 0}", file=stderr)
     return 0 if failed == 0 else 2
-
-
-def _require_same_alphabet(H: Subgroup, K: Subgroup) -> None:
-    if H.alphabet != K.alphabet:
-        raise CliError(
-            f"alphabet mismatch: SPEC_H has rank {H.alphabet.rank}, "
-            f"SPEC_K has rank {K.alphabet.rank}"
-        )
 
 
 def _indent(text: str) -> str:

@@ -85,9 +85,10 @@ class PushoutResult:
     supplied core maps onto both at once; the quotient generally fails to
     be properly labeled, and folding it recovers the join's core.
     ``vertex_class[side][v]`` is the quotient vertex of vertex ``v`` of
-    side ``side`` (:data:`LEFT` or :data:`RIGHT`), and ``edge_class``
-    likewise for edges.
+    side ``side`` (:data:`LEFT` or :data:`RIGHT`).
     """
+
+    __slots__ = ("left", "right", "graph", "vertex_class", "star_seeds", "_star_classes")
 
     def __init__(
         self,
@@ -95,14 +96,12 @@ class PushoutResult:
         right: LabeledGraph,
         graph: LabeledGraph,
         vertex_class: tuple[list, list],
-        edge_class: tuple[list, list],
         star_seeds: tuple,
     ):
         self.left = left
         self.right = right
         self.graph = graph
         self.vertex_class = vertex_class
-        self.edge_class = edge_class
         # (left vertex, right vertex) pairs whose full stars a core identifies
         self.star_seeds = star_seeds
         self._star_classes: StarClassSummary | None = None
@@ -243,9 +242,7 @@ def topological_pushout(
     graph = LabeledGraph(
         gH.rank, max(vertex_index) + 1, labels, sources, targets, basepoint=left[gH.basepoint]
     )
-    return PushoutResult(
-        gH, gK, graph, (left, right), (edge_index[:m_H], edge_index[m_H:]), tuple(star_seeds)
-    )
+    return PushoutResult(gH, gK, graph, (left, right), tuple(star_seeds))
 
 
 # -- double cosets -----------------------------------------------------------------

@@ -60,14 +60,6 @@ class Alphabet:
     def identity(self) -> "Word":
         return Word(self, ())
 
-    def generator(self, index: int) -> "Word":
-        if not 0 <= index < self.rank:
-            raise ValueError(f"generator index {index} out of range for rank {self.rank}")
-        return Word(self, (index + 1,))
-
-    def generators(self) -> list["Word"]:
-        return [self.generator(i) for i in range(self.rank)]
-
     def word(self, text: str) -> "Word":
         return Word(self, _parse_letters(text, self.rank))
 

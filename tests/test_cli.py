@@ -86,8 +86,8 @@ def test_core_custom_rank():
 
 
 def test_core_rejects_bad_rank():
-    code, _, err = invoke("core", "a", "--rank", "0")
-    assert code == 1 and "--rank" in err
+    code, out, err = invoke("core", "a", "--rank", "0")
+    assert (code, out, err) == (1, "", "error: alphabet rank must be at least 1, got 0\n")
 
 
 # -- intersect / join ----------------------------------------------------------------
@@ -178,6 +178,20 @@ def test_alphabet_mismatch_names_both_ranks():
     code, _, err = invoke("intersect", SMALL_H, wide)
     assert code == 1
     assert "rank 2" in err and "rank 3" in err
+
+
+# a based meet of 101 * 103 vertices, whose dart table of 2 * 838 slots a
+# vertex is past SLOT_BUDGET: a refusal of the library, not of the CLI
+WIDE_H = json.dumps({"alphabet_rank": 838, "generators": ["a" * 101]})
+WIDE_K = json.dumps({"alphabet_rank": 838, "generators": ["a" * 103]})
+
+
+@pytest.mark.parametrize("command", ["intersect", "pushout", "matrix"])
+def test_a_library_refusal_exits_one_from_every_command(command):
+    code, out, err = invoke(command, WIDE_H, WIDE_K)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: a graph of rank 838 needs 17435428 dart slots")
 
 
 # -- pushout -------------------------------------------------------------------------

@@ -475,13 +475,11 @@ def test_pushout_vertex_classes_partition_the_factors():
 def test_pushout_edge_classes_preserve_labels_and_ends():
     H, K = make(*FIGURE_LEFT), make(*FIGURE_RIGHT)
     po = topological_pushout(H, K, [based_meet_core(H, K)])
+    records = {(label, src, dst) for _, label, src, dst in po.graph.edges()}
     for side, graph in ((LEFT, H.graph), (RIGHT, K.graph)):
-        for eid, label, src, dst in graph.edges():
-            image = po.edge_class[side][eid]
-            ilabel, isrc, idst = list(po.graph.edges())[image][1:]
-            assert ilabel == label
-            assert isrc == po.vertex_class[side][src]
-            assert idst == po.vertex_class[side][dst]
+        classes = po.vertex_class[side]
+        for _, label, src, dst in graph.edges():
+            assert (label, classes[src], classes[dst]) in records
 
 
 @settings(max_examples=25, deadline=None)
@@ -496,8 +494,8 @@ def test_pushout_chi_never_exceeds_join_chi(seed):
 
 def _sorted_class_numbering(H, K, cores):
     """Pushout numbering by rank in the sorted list of sorted classes of
-    tagged (side, vertex) and (side, edge) pairs: (vertex_class,
-    edge_class, quotient edges), the classes as one list per side."""
+    tagged (side, vertex) and (side, edge) pairs: (vertex_class, quotient
+    edges), the vertex classes as one list per side."""
     gH, gK = H.graph, K.graph
     nH, mH = gH.vertex_count, gH.edge_count
     vparts = DisjointSet(nH + gK.vertex_count)
@@ -521,16 +519,15 @@ def _sorted_class_numbering(H, K, cores):
     for index, members in enumerate(sorted(sorted(tagged(c, nH) for c in m) for m in classes(vparts))):
         for side, v in members:
             vertex_class[side][v] = index
-    edge_class, quotient_edges = ([None] * mH, [None] * gK.edge_count), {}
+    quotient_edges = {}
     records_of = {LEFT: list(gH.edges()), RIGHT: list(gK.edges())}
     for index, members in enumerate(sorted(sorted(tagged(c, mH) for c in m) for m in classes(eparts))):
         records = set()
         for side, e in members:
-            edge_class[side][e] = index
             _, label, src, dst = records_of[side][e]
             records.add((label, vertex_class[side][src], vertex_class[side][dst]))
         (quotient_edges[index],) = records
-    return vertex_class, edge_class, quotient_edges
+    return vertex_class, quotient_edges
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,9 +538,8 @@ def test_pushout_numbering_matches_sorted_classes(seed, rank):
     K = random_subgroup(rng, rng.randint(1, 3), 6, Alphabet(rank))
     for cores in ([based_meet_core(H, K)], [entry.core for entry in double_cosets(H, K).entries]):
         po = topological_pushout(H, K, cores)
-        vertex_class, edge_class, quotient_edges = _sorted_class_numbering(H, K, cores)
+        vertex_class, quotient_edges = _sorted_class_numbering(H, K, cores)
         assert po.vertex_class == vertex_class
-        assert po.edge_class == edge_class
         assert {e: (label, src, dst) for e, label, src, dst in po.graph.edges()} == quotient_edges
         assert po.graph.vertex_count == len(set(vertex_class[LEFT] + vertex_class[RIGHT]))
 

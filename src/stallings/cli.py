@@ -65,84 +65,62 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compute with finitely generated subgroups of a free group.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    core = sub.add_parser("core", help="fold generators into a core graph")
-    core.add_argument("generators", nargs="+", metavar="GEN")
-    core.add_argument("--rank", type=int, default=2, help="alphabet rank (default 2)")
-    _output_flags(core, dot=True)
-    core.set_defaults(handler=_cmd_core)
-
+    parsers = {}
     for name, help_text, handler in (
+        ("core", "fold generators into a core graph", _cmd_core),
         ("intersect", "core of the intersection of two subgroups", _cmd_intersect),
         ("join", "core of the subgroup generated by both inputs", _cmd_join),
+        ("pushout", "quotient of the two cores along their meet's core", _cmd_pushout),
+        ("matrix", "incidence matrix, normal form, and entry-sum bound", _cmd_matrix),
+        ("check", "evaluate every verdict on the pair", _cmd_check),
+        ("corpus", "run all curated fixtures", _cmd_corpus),
+        ("fuzz", "random campaign, JSON lines on stdout", _cmd_fuzz),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _spec_args(p)
-        _output_flags(p, dot=True)
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        if name in ("intersect", "join", "pushout", "matrix", "check"):
+            p.add_argument("left_spec", metavar="SPEC_H")
+            p.add_argument("right_spec", metavar="SPEC_K")
+        if name != "fuzz":
+            p.add_argument("--json", action="store_true", help="machine JSON output")
+        if name in ("core", "intersect", "join", "pushout"):
+            p.add_argument("--dot", action="store_true", help="Graphviz DOT output")
 
-    push = sub.add_parser(
-        "pushout", help="quotient of the two cores along their meet's core"
-    )
-    _spec_args(push)
-    _output_flags(push, dot=True)
-    push.set_defaults(handler=_cmd_pushout)
-
-    matrix = sub.add_parser(
-        "matrix", help="incidence matrix, normal form, and entry-sum bound"
-    )
-    _spec_args(matrix)
-    matrix.add_argument(
+    parsers["core"].add_argument("generators", nargs="+", metavar="GEN")
+    parsers["core"].add_argument("--rank", type=int, default=2, help="alphabet rank (default 2)")
+    parsers["matrix"].add_argument(
         "--normalize",
         action="store_true",
         help="run the normalization pipeline on the pair first",
     )
-    _output_flags(matrix)
-    matrix.set_defaults(handler=_cmd_matrix)
-
-    check = sub.add_parser("check", help="evaluate every verdict on the pair")
-    _spec_args(check)
-    _output_flags(check)
-    check.set_defaults(handler=_cmd_check)
-
-    corpus_p = sub.add_parser("corpus", help="run all curated fixtures")
-    _output_flags(corpus_p)
-    corpus_p.set_defaults(handler=_cmd_corpus)
-
-    fuzz_p = sub.add_parser("fuzz", help="random campaign, JSON lines on stdout")
-    fuzz_p.add_argument("--seed", type=int, default=0)
-    fuzz_p.add_argument("--count", type=int, default=100)
-    fuzz_p.add_argument(
-        "--max-rank", type=int, default=4, help="max generators per subgroup"
-    )
-    fuzz_p.add_argument(
-        "--min-rank", type=int, default=1, help="min generators per subgroup"
-    )
-    fuzz_p.add_argument("--max-len", type=int, default=8)
+    # each fuzz flag stores into its FuzzConfig field, default included, and
+    # keeps the flag's own name in --help
+    fuzz_p, defaults = parsers["fuzz"], FuzzConfig()
+    for flag, field, help_text in (
+        ("--seed", "seed", None),
+        ("--count", "instance_count", None),
+        ("--max-rank", "max_generators", "max generators per subgroup"),
+        ("--min-rank", "min_generators", "min generators per subgroup"),
+        ("--max-len", "max_word_length", None),
+    ):
+        metavar = flag[2:].replace("-", "_").upper()
+        default = getattr(defaults, field)
+        fuzz_p.add_argument(
+            flag, type=int, dest=field, default=default, metavar=metavar, help=help_text
+        )
     fuzz_p.add_argument(
         "--inequalities-only",
-        action="store_true",
+        action="store_false",
+        dest="structural",
         help="skip the structural (normalized) checks",
     )
     fuzz_p.add_argument(
         "--nontrivial-meet",
         action="store_true",
+        dest="require_nontrivial_meet",
         help="resample pairs until the meet is nontrivial",
     )
-    fuzz_p.set_defaults(handler=_cmd_fuzz)
-
     return parser
-
-
-def _spec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("left_spec", metavar="SPEC_H")
-    parser.add_argument("right_spec", metavar="SPEC_K")
-
-
-def _output_flags(parser: argparse.ArgumentParser, *, dot: bool = False) -> None:
-    parser.add_argument("--json", action="store_true", help="machine JSON output")
-    if dot:
-        parser.add_argument("--dot", action="store_true", help="Graphviz DOT output")
 
 
 # -- input loading -----------------------------------------------------------------
@@ -188,32 +166,35 @@ def _load_pair(args) -> tuple[Subgroup, Subgroup]:
     return H, K
 
 
-# -- rendering ---------------------------------------------------------------------
+# -- output ------------------------------------------------------------------------
 
 
-def _subgroup_dict(sub: Subgroup) -> dict:
-    return {
-        "alphabet_rank": sub.alphabet.rank,
-        "generators": [str(w) for w in sub.generators],
-        "basis": [str(w) for w in sub.basis()],
-        "rank": sub.rank,
-        "vertices": sub.graph.vertex_count,
-        "edges": sub.graph.edge_count,
-        "chi": sub.graph.chi,
-    }
+def _emit(args, stdout, data: dict, lines=None) -> None:
+    """Print ``data`` as sorted JSON under ``--json``; otherwise print the
+    text ``lines``, by default one ``key: value`` line per field."""
+    if args.json:
+        lines = [json.dumps(data, sort_keys=True)]
+    elif lines is None:
+        lines = [f"{key}: {value}" for key, value in data.items()]
+    for line in lines:
+        print(line, file=stdout)
 
 
 def _print_subgroup(sub: Subgroup, args, stdout) -> int:
-    if getattr(args, "dot", False):
+    if args.dot:
         print(sub.graph.to_dot(), file=stdout)
         return 0
-    data = _subgroup_dict(sub)
-    if args.json:
-        print(json.dumps(data, sort_keys=True), file=stdout)
-        return 0
-    for key in ("rank", "vertices", "edges", "chi"):
-        print(f"{key}: {data[key]}", file=stdout)
-    print("basis: " + (", ".join(data["basis"]) if data["basis"] else "(trivial)"), file=stdout)
+    graph = sub.graph
+    counts = {
+        "rank": sub.rank,
+        "vertices": graph.vertex_count,
+        "edges": graph.edge_count,
+        "chi": graph.chi,
+    }
+    basis = [str(w) for w in sub.basis()]
+    lines = [f"{key}: {value}" for key, value in counts.items()]
+    lines.append("basis: " + (", ".join(basis) or "(trivial)"))
+    _emit(args, stdout, {**sub.spec_dict(), **counts, "basis": basis}, lines)
     return 0
 
 
@@ -257,11 +238,7 @@ def _cmd_pushout(args, stdout, stderr) -> int:
         "special_vertex_count": len(po.special_vertices()),
         "folds_to_join": po.refolds_to(joined.graph),
     }
-    if args.json:
-        print(json.dumps(data, sort_keys=True), file=stdout)
-    else:
-        for key, value in data.items():
-            print(f"{key}: {value}", file=stdout)
+    _emit(args, stdout, data)
     return 0
 
 
@@ -275,91 +252,63 @@ def _cmd_matrix(args, stdout, stderr) -> int:
         _, M, nf, delta, bound = matrix_pipeline(H, K, meet_core)
     except NotNormalizedError as exc:
         raise ValueError(f"{exc} (rerun with --normalize)")
-    data = {
-        "shape": list(M.shape),
+    # the fields the text form prints, in its order
+    scalars = {
         "entry_sum": M.entry_sum,
         "ell": nf.ell,
         "p": nf.p,
         "q": nf.q,
-        "blocks": [list(b) for b in nf.blocks],
         "star_class_count": nf.star_class_count,
         "entry_sum_bound": bound,
         "delta_components": delta.component_count,
         "delta_edges": delta.edge_count,
-        "violations": list(nf.lemma_violations),
     }
-    if args.json:
-        data["matrix"] = [list(row) for row in M.entries]
-        data["normal_form"] = [list(row) for row in nf.matrix]
-        print(json.dumps(data, sort_keys=True), file=stdout)
-        return 0
-    print("matrix:", file=stdout)
-    print(_indent(M.render()), file=stdout)
-    print("normal form:", file=stdout)
-    print(_indent(nf.render()), file=stdout)
-    for key in (
-        "entry_sum",
-        "ell",
-        "p",
-        "q",
-        "star_class_count",
-        "entry_sum_bound",
-        "delta_components",
-        "delta_edges",
-    ):
-        value = data[key]
-        print(f"{key}: {'not applicable' if value is None else value}", file=stdout)
-    violations = data["violations"]
-    print(
-        "violations: " + ("; ".join(violations) if violations else "none"),
-        file=stdout,
-    )
+    violations = list(nf.lemma_violations)
+    data = {
+        **scalars,
+        "shape": list(M.shape),
+        "blocks": [list(b) for b in nf.blocks],
+        "violations": violations,
+        "matrix": [list(row) for row in M.entries],
+        "normal_form": [list(row) for row in nf.matrix],
+    }
+    lines = ["matrix:", _indent(M.render()), "normal form:", _indent(nf.render())]
+    lines += [f"{k}: {'not applicable' if v is None else v}" for k, v in scalars.items()]
+    lines.append("violations: " + ("; ".join(violations) or "none"))
+    _emit(args, stdout, data, lines)
     return 0
 
 
 def _cmd_check(args, stdout, stderr) -> int:
     H, K = _load_pair(args)
     report = check_instance(H, K)
-    if args.json:
-        print(report.to_json(), file=stdout)
-    else:
-        data = report.to_dict()
-        verdicts = data.pop("verdicts")
-        for key in sorted(data):
-            print(f"{key}: {data[key]}", file=stdout)
-        print("verdicts:", file=stdout)
-        width = max(len(name) for name in verdicts)
-        for name in sorted(verdicts):
-            verdict = verdicts[name]
-            slack = "" if verdict["slack"] is None else f"  slack={verdict['slack']}"
-            print(f"  {name:<{width}}  {verdict['status']}{slack}", file=stdout)
-        print(f"overall: {'pass' if report.ok else 'FAIL'}", file=stdout)
+    data = report.to_dict()
+    verdicts = data["verdicts"]
+    lines = [f"{key}: {data[key]}" for key in sorted(data) if key != "verdicts"]
+    lines.append("verdicts:")
+    width = max(len(name) for name in verdicts)
+    for name in sorted(verdicts):
+        verdict = verdicts[name]
+        slack = "" if verdict["slack"] is None else f"  slack={verdict['slack']}"
+        lines.append(f"  {name:<{width}}  {verdict['status']}{slack}")
+    lines.append(f"overall: {'pass' if report.ok else 'FAIL'}")
+    _emit(args, stdout, data, lines)
     return 0 if report.ok else 2
 
 
 def _cmd_corpus(args, stdout, stderr) -> int:
     result = corpus()
-    if args.json:
-        print(json.dumps(result, sort_keys=True), file=stdout)
-    else:
-        for entry in result["entries"]:
-            print(f"{'pass' if entry['ok'] else 'FAIL'}  {entry['name']}", file=stdout)
-            for problem in entry.get("problems", []):
-                print(f"      {problem}", file=stdout)
-        print(f"overall: {'pass' if result['ok'] else 'FAIL'}", file=stdout)
+    lines = []
+    for entry in result["entries"]:
+        lines.append(f"{'pass' if entry['ok'] else 'FAIL'}  {entry['name']}")
+        lines += [f"      {problem}" for problem in entry.get("problems", [])]
+    lines.append(f"overall: {'pass' if result['ok'] else 'FAIL'}")
+    _emit(args, stdout, result, lines)
     return 0 if result["ok"] else 2
 
 
 def _cmd_fuzz(args, stdout, stderr) -> int:
-    config = FuzzConfig(
-        seed=args.seed,
-        instance_count=args.count,
-        min_generators=args.min_rank,
-        max_generators=args.max_rank,
-        max_word_length=args.max_len,
-        structural=not args.inequalities_only,
-        require_nontrivial_meet=args.nontrivial_meet,
-    )
+    config = FuzzConfig(**{field: getattr(args, field) for field in FuzzConfig._fields})
     count = failed = 0
     # flushed line by line: a pair refused mid-stream keeps the lines before it
     for left, right, report in fuzz(config):

@@ -254,12 +254,8 @@ def check_instance(H: Subgroup, K: Subgroup, *, structural: bool = True) -> Inst
     this is much faster and is what large random campaigns use when only the
     rank inequalities are under test.
     """
+    _require_rank2(H, K)
     for side, sub in (("left", H), ("right", K)):
-        if sub.alphabet.rank != 2:
-            raise ValueError(
-                f"{side} subgroup lives over a rank-{sub.alphabet.rank} alphabet; "
-                "instances must use the rank-2 alphabet (embed them first)"
-            )
         if sub.is_trivial:
             raise ValueError(f"trivial subgroup input ({side})")
     values = _raw_fields(H, K)
@@ -267,6 +263,16 @@ def check_instance(H: Subgroup, K: Subgroup, *, structural: bool = True) -> Inst
         values.update(_structural_fields(H, K, values))
     verdicts = derive_verdicts(SimpleNamespace(**values))
     return InstanceReport(**values, verdicts=verdicts)
+
+
+def _require_rank2(H: Subgroup, K: Subgroup) -> None:
+    """Refuse a pair unless both subgroups live over the rank-2 alphabet."""
+    for side, sub in (("left", H), ("right", K)):
+        if sub.alphabet.rank != 2:
+            raise ValueError(
+                f"{side} subgroup lives over a rank-{sub.alphabet.rank} alphabet; "
+                "instances must use the rank-2 alphabet (embed them first)"
+            )
 
 
 def _raw_fields(H: Subgroup, K: Subgroup) -> dict:
@@ -296,7 +302,7 @@ def normalize_pair(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup]:
     by at most one conjugation, so that neither factor core nor the meet's
     core has an extremal vertex.  Meet, join, and factor ranks are
     preserved.  Raises :class:`TrivialIntersectionError` when the meet is
-    trivial.
+    trivial, and ``ValueError`` when either subgroup is not over rank 2.
     """
     Hn, Kn, _ = _normalize_with_meet(H, K)
     return Hn, Kn
@@ -315,6 +321,7 @@ def _normalize_with_meet(H: Subgroup, K: Subgroup) -> tuple[Subgroup, Subgroup, 
     projection of that vertex, and trimmed, rather than built again from
     the conjugated generators.
     """
+    _require_rank2(H, K)
     H, K = three_regularize(H), three_regularize(K)
     # the meet is trivial when the based product component is a tree
     product = based_product(H.graph, K.graph)
@@ -524,7 +531,7 @@ CORPUS_PAIRS: tuple[dict, ...] = (
         "left": ("aBBa", "abbAABA", "ABaba"),
         "right": ("aaba", "abbbbaaBBA"),
         "expect": {"rank_meet": 1, "rank_join": 2, "chi_T": -3, "chi_join": -1},
-        "meet_cyclic_word": "abbAABBBBaba",
+        "meet_subgroup": ("abbAABBBBaba",),
     },
     {
         "name": "self_join",
@@ -578,18 +585,6 @@ def fixture_pair(fix: dict) -> tuple[Subgroup, Subgroup]:
     return build(fix["left"]), build(fix["right"])
 
 
-def _same_cyclic_word(w: Word, target: Word) -> bool:
-    """Whether ``w`` and ``target`` agree up to rotation and inversion."""
-    a = tuple(w.cyclically_reduced().letters)
-    for candidate in (target, ~target):
-        t = tuple(candidate.cyclically_reduced().letters)
-        if len(t) != len(a):
-            continue
-        if not a or any(a[i:] + a[:i] == t for i in range(len(a))):
-            return True
-    return False
-
-
 def _run_pair_fixture(fix: dict) -> dict:
     H, K = fixture_pair(fix)
     report = check_instance(H, K)
@@ -605,11 +600,6 @@ def _run_pair_fixture(fix: dict) -> dict:
         want = subgroup_graph(list(fix["meet_subgroup"]), RANK2)
         if intersection(H, K) != want:
             problems.append("meet is not the expected subgroup")
-    if "meet_cyclic_word" in fix:
-        words = intersection(H, K).basis()
-        target = RANK2.word(fix["meet_cyclic_word"])
-        if len(words) != 1 or not _same_cyclic_word(words[0], target):
-            problems.append("meet generator is not the expected loop")
     return {
         "name": fix["name"],
         "ok": not problems,

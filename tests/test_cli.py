@@ -1,5 +1,6 @@
 """The command-line interface: loading, output modes, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import stallings
 from stallings import FuzzConfig, InstanceReport, ReadBudgetError, Verdict, check_instance, fuzz
-from stallings.cli import run
+from stallings.cli import _build_parser, run
 from stallings.verify import FAIL
 
 from conftest import make
@@ -43,6 +44,54 @@ def test_help_exits_cleanly(capsys):
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+SWITCH = "switch"  # an option that takes no value
+
+
+def test_every_subcommand_has_exactly_its_arguments_and_defaults():
+    """The parser table, walked: each subcommand's positionals, and each of
+    its options (``-h`` aside) with its default, or SWITCH when it takes no
+    value.  The fuzz defaults are FuzzConfig's own."""
+    (subcommands,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    found = {}
+    for name, parser in subcommands.choices.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        positionals = [a.metavar for a in actions if not a.option_strings]
+        options = {
+            option: SWITCH if a.nargs == 0 else a.default
+            for a in actions
+            for option in a.option_strings
+        }
+        found[name] = (positionals, options)
+
+    config = FuzzConfig()
+    assert config[:5] == (0, 100, 1, 4, 8)
+    pair = ["SPEC_H", "SPEC_K"]
+    graph = {"--json": SWITCH, "--dot": SWITCH}
+    assert found == {
+        "core": (["GEN"], {**graph, "--rank": 2}),
+        "intersect": (pair, graph),
+        "join": (pair, graph),
+        "pushout": (pair, graph),
+        "matrix": (pair, {"--json": SWITCH, "--normalize": SWITCH}),
+        "check": (pair, {"--json": SWITCH}),
+        "corpus": ([], {"--json": SWITCH}),
+        "fuzz": (
+            [],
+            {
+                "--seed": config.seed,
+                "--count": config.instance_count,
+                "--min-rank": config.min_generators,
+                "--max-rank": config.max_generators,
+                "--max-len": config.max_word_length,
+                "--inequalities-only": SWITCH,
+                "--nontrivial-meet": SWITCH,
+            },
+        ),
+    }
 
 
 # -- core ----------------------------------------------------------------------------

@@ -124,6 +124,11 @@ ERRORS = {
         "error: basepoint normalization needs a nontrivial intersection\n",
     ("check", json.dumps({"alphabet_rnak": 3, "generators": ["a"]}), json.dumps({"generators": ["a"]})):
         "error: SPEC_H: unknown spec key 'alphabet_rnak' (expected alphabet_rank, generators)\n",
+    # normalization refuses a non-rank-2 pair with the check's own message
+    ("matrix", json.dumps({"alphabet_rank": 3, "generators": ["a", "bc"]}),
+     json.dumps({"alphabet_rank": 3, "generators": ["ac", "b"]}), "--normalize"):
+        "error: left subgroup lives over a rank-3 alphabet;"
+        " instances must use the rank-2 alphabet (embed them first)\n",
     # a wide alphabet is refused before its dart table is allocated
     ("core", "a", "--rank", "1000000000"):
         "error: a graph of rank 1000000000 needs 2000000000 dart slots (2 * rank per vertex),"
